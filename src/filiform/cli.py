@@ -20,7 +20,7 @@ import sys
 from . import catalog
 from .cochain import cohomology
 from .extensions import enumerate_graded_filiform
-from .lie import LieAlgebra, central_series, is_filiform, jacobi_check
+from .lie import LieAlgebra, adapted_basis, central_series, is_filiform, jacobi_check
 from .scalars import format_rat, rat
 from .spectral import build_pages, symplectic_survival
 from .structures import contact_exists, symplectic_exists
@@ -171,7 +171,8 @@ def cmd_contact(args) -> int:
 def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
-        pages = build_pages(a)
+        adapted = adapted_basis(a)
+        pages = build_pages(a, adapted)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     tables = []
@@ -184,7 +185,7 @@ def cmd_spectral(args) -> int:
         })
     result = {"pages": tables}
     if a.dim % 2 == 0:
-        v = symplectic_survival(a)
+        v = symplectic_survival(a, adapted, pages)
         result["symplectic_survival"] = {"survives": v.survives}
         if v.survives:
             result["symplectic_survival"]["lift"] = _form_pairs(v.lift)

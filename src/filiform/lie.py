@@ -18,7 +18,8 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import SpanSolver, Subspace, Vec, vec_add, vec_axpy, vec_scale, vec_sub
+from .linalg import (SpanSolver, Subspace, Vec, kernel_of_rows, vec_add, vec_axpy,
+                     vec_scale, vec_sub)
 from .scalars import RatFunc, as_scalar, format_rat, rat, scalar_at
 
 log = logging.getLogger(__name__)
@@ -234,23 +235,6 @@ def center(a: LieAlgebra) -> Subspace:
     return centralizer(a, Subspace.span([{i: as_scalar(1)} for i in range(1, a.dim + 1)]))
 
 
-def _kernel_from_constraints(rows: list[Vec], columns: list) -> list[Vec]:
-    """Canonical kernel basis of a constraint row system over given columns."""
-    space = Subspace.span(rows)
-    pivot_set = set(space.pivots)
-    basis = []
-    for f in columns:
-        if f in pivot_set:
-            continue
-        v: Vec = {f: as_scalar(1)}
-        for p, row in zip(space.pivots, space.rows):
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
-
-
 def centralizer(a: LieAlgebra, s: Subspace) -> Subspace:
     """{x in g : [x, s] = 0}, computed as the kernel of a constraint system."""
     rows = []
@@ -261,7 +245,7 @@ def centralizer(a: LieAlgebra, s: Subspace) -> Subspace:
             for k, c in w.items():
                 per_output.setdefault(k, {})[i] = c
         rows.extend(per_output.values())
-    return Subspace.span(_kernel_from_constraints(rows, list(range(1, a.dim + 1))))
+    return Subspace.span(kernel_of_rows(rows, list(range(1, a.dim + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +500,7 @@ def m0_certificate(g: LieAlgebra) -> list[Vec] | None:
             for k, c in w.items():
                 per_output.setdefault(k, {})[idx] = c
         rows.extend(per_output.values())
-    kernel = _kernel_from_constraints(rows, [0, 1])
+    kernel = kernel_of_rows(rows, [0, 1])
     if not kernel:
         return None
     coeffs = kernel[0]

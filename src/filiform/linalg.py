@@ -4,12 +4,16 @@ Vectors are sparse dicts ``{column: scalar}``; matrices store a sparse
 ``{(row, col): scalar}`` map.  Everything is computed by exact Gaussian
 elimination over the scalar field (Fraction or RatFunc), with reduced row
 echelon form as the canonical shape so that kernel bases, cohomology
-representatives and spectral-sequence blocks are deterministic.
+representatives and spectral-sequence blocks are deterministic.  One
+eliminator, ``_eliminate``, serves ``rref``, the kernels and ``SpanSolver``;
+it keeps work rows bucketed by leading column (see ``rref``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from heapq import heappop, heappush
 
 from .scalars import as_scalar, pivot_complexity
 
@@ -38,11 +42,8 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return vec_add(a, vec_scale(b, -1))
 
 
-def vec_axpy(a: Vec, c, b: Vec) -> Vec:
-    """a + c*b, sparse."""
-    if not c:
-        return dict(a)
-    out = dict(a)
+def vec_axpy_into(out: Vec, c, b: Vec) -> None:
+    """out += c*b, in place."""
     for k, v in b.items():
         s = out.get(k)
         s = c * v if s is None else s + c * v
@@ -50,6 +51,13 @@ def vec_axpy(a: Vec, c, b: Vec) -> Vec:
             out[k] = s
         else:
             out.pop(k, None)
+
+
+def vec_axpy(a: Vec, c, b: Vec) -> Vec:
+    """a + c*b, sparse."""
+    out = dict(a)
+    if c:
+        vec_axpy_into(out, c, b)
     return out
 
 
@@ -70,15 +78,6 @@ class Matrix:
             if v:
                 clean[(r, c)] = v
         object.__setattr__(self, "entries", clean)
-
-    @staticmethod
-    def from_rows(rows: list[Vec], cols: int) -> "Matrix":
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                if v:
-                    entries[(r, c)] = v
-        return Matrix(len(rows), cols, entries)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -104,34 +103,70 @@ class Matrix:
         return out
 
 
+def _eliminate(rows: list[Vec], tags: list[Vec]):
+    """``rref`` of rows, applying each row operation to the tags as well.
+
+    Returns (pivots ascending, rows, tags); zero rows drop with their tags.
+    """
+    work = [dict(r) for r in rows]
+    wtags = [dict(t) for t in tags]
+    buckets: dict = {}  # leading column -> indices of the work rows
+    heap: list = []  # the leading columns that have a bucket
+
+    def put(i: int) -> None:
+        lead = min(work[i])
+        if lead not in buckets:
+            buckets[lead] = []
+            heappush(heap, lead)
+        buckets[lead].append(i)
+
+    for i, r in enumerate(work):
+        if r:
+            put(i)
+    order = []
+    while heap:
+        col = heappop(heap)
+        bucket = buckets.pop(col)
+        best = min(bucket, key=lambda i: (pivot_complexity(work[i][col]), i))
+        row, tag = work[best], wtags[best]
+        if row[col] != 1:
+            inv = 1 / row[col]
+            row, tag = vec_scale(row, inv), vec_scale(tag, inv)
+        row[col] = as_scalar(1)
+        for i in bucket:
+            if i != best:
+                c = -work[i][col]
+                vec_axpy_into(work[i], c, row)
+                vec_axpy_into(wtags[i], c, tag)
+                if work[i]:
+                    put(i)
+        order.append((col, row, tag))
+    # back substitution: rows of later pivots already vanish at every other
+    # pivot column, so one pass over each row's own pivot entries clears it
+    done: dict = {}
+    for col, row, tag in reversed(order):
+        for k, c in [(k, c) for k, c in row.items() if k in done]:
+            vec_axpy_into(row, -c, done[k][0])
+            vec_axpy_into(tag, -c, done[k][1])
+        done[col] = (row, tag)
+    pivots = [col for col, _, _ in order]
+    return pivots, [done[c][0] for c in pivots], [done[c][1] for c in pivots]
+
+
 def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     """Reduced row echelon form of a list of sparse row vectors.
 
     Returns (pivot columns ascending, nonzero rows, one per pivot).  Pivot rows
     are normalized to leading coefficient 1 and fully reduced both above and
-    below, so the output is the canonical basis of the row space.  Among the
-    candidate rows for a pivot column the entry of smallest bit-size wins,
-    which keeps intermediate fractions short without affecting the result.
+    below, so the output is the canonical basis of the row space.  Work rows
+    wait in buckets keyed by their leading column, with a heap of the leads:
+    the pivot column is the smallest lead, so only its bucket is reduced, and
+    each reduced row moves to the bucket of its new lead.  Inside the bucket
+    the entry of smallest bit-size wins (ties by input order), which keeps
+    intermediate fractions short without affecting the result.
     """
-    work = [dict(r) for r in rows if r]
-    pivots: list[int] = []
-    done: list[Vec] = []
-    while work:
-        col = min(min(r) for r in work)
-        cand = [r for r in work if col in r]
-        best = min(cand, key=lambda r: pivot_complexity(r[col]))
-        work.remove(best)
-        inv = 1 / best[col] if best[col] != 1 else None
-        if inv is not None:
-            best = vec_scale(best, inv)
-        best[col] = as_scalar(1)
-        work = [vec_axpy(r, -r[col], best) if col in r else r for r in work]
-        work = [r for r in work if r]
-        done = [vec_axpy(r, -r[col], best) if col in r else r for r in done]
-        pivots.append(col)
-        done.append(best)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [done[i] for i in order]
+    pivots, out, _ = _eliminate(rows, [{}] * len(rows))
+    return pivots, out
 
 
 def rank(m: Matrix) -> int:
@@ -139,42 +174,39 @@ def rank(m: Matrix) -> int:
     return len(rref(m.row_list())[0])
 
 
-def kernel_basis(m: Matrix) -> list[Vec]:
-    """Canonical basis of the null space of m.
+def kernel_of_rows(rows: list[Vec], columns) -> list[Vec]:
+    """Canonical basis of {x on columns : row . x = 0 for every row}.
 
-    One vector per free column, in increasing column order; the vector for
-    free column f has entry 1 at f and its pivot-column entries are read off
-    the RREF, so the result is itself in reduced echelon shape.
+    One vector per free column, in the order of columns; the vector for free
+    column f has entry 1 at f and its pivot-column entries are read off the
+    RREF, so the result is itself in reduced echelon shape.
     """
-    pivots, rows = rref(m.row_list())
-    pivot_of_row = {p: r for p, r in zip(pivots, rows)}
+    pivots, red = rref(rows)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v: Vec = {f: as_scalar(1)}
-        for p in pivots:
-            c = pivot_of_row[p].get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    basis = {f: {f: as_scalar(1)} for f in columns if f not in pivot_set}
+    for p, row in zip(pivots, red):
+        for f, c in row.items():
+            if f in basis:
+                basis[f][p] = -c
+    return list(basis.values())
 
 
-class _Aux:
-    """Bookkeeping column tag; never chosen as a pivot."""
+def kernel_basis(m: Matrix) -> list[Vec]:
+    """Canonical basis of the null space of m, one vector per free column."""
+    return kernel_of_rows(m.row_list(), range(m.cols))
 
-    __slots__ = ("i",)
 
-    def __init__(self, i: int):
-        self.i = i
+def _reduce(index: dict, v: Vec) -> tuple[Vec, list]:
+    """v minus multiples of the RREF rows in index {pivot: row}.
 
-    def __hash__(self):
-        return hash(("aux", self.i))
-
-    def __eq__(self, other):
-        return isinstance(other, _Aux) and other.i == self.i
+    RREF rows vanish at every other pivot column, so the multipliers are v's
+    own pivot entries; returns the residue and the (pivot, multiplier) pairs.
+    """
+    out = dict(v)
+    used = [(p, c) for p, c in v.items() if p in index]
+    for p, c in used:
+        vec_axpy_into(out, -c, index[p])
+    return out, used
 
 
 class SpanSolver:
@@ -182,27 +214,19 @@ class SpanSolver:
 
     def __init__(self, generators: list[Vec]):
         self.n = len(generators)
-        tagged = []
-        for i, g in enumerate(generators):
-            row = dict(g)
-            row[_Aux(i)] = as_scalar(1)
-            tagged.append(row)
-        _, self._rows = rref_tagged(tagged)
+        pivots, rows, tags = _eliminate(
+            generators, [{i: as_scalar(1)} for i in range(self.n)])
+        self._index = dict(zip(pivots, rows))
+        self._tags = dict(zip(pivots, tags))  # pivot row as a generator combination
 
     def solve(self, target: Vec) -> list | None:
-        residue = dict(target)
-        coeffs = [as_scalar(0)] * self.n
-        for row in self._rows:
-            lead = min(k for k in row if not isinstance(k, _Aux))
-            c = residue.get(lead)
-            if c:
-                residue = vec_axpy(
-                    residue, -c, {k: v for k, v in row.items() if not isinstance(k, _Aux)})
-                for k, v in row.items():
-                    if isinstance(k, _Aux):
-                        coeffs[k.i] = coeffs[k.i] + c * v
+        residue, used = _reduce(self._index, target)
         if residue:
             return None
+        coeffs = [as_scalar(0)] * self.n
+        for p, c in used:
+            for i, v in self._tags[p].items():
+                coeffs[i] = coeffs[i] + c * v
         return coeffs
 
 
@@ -212,31 +236,6 @@ def solve_in_span(target: Vec, generators: list[Vec]) -> list | None:
     The returned list c satisfies sum(c[i] * generators[i]) == target.
     """
     return SpanSolver(generators).solve(target)
-
-
-def rref_tagged(rows: list[Vec]) -> tuple[list, list[Vec]]:
-    """RREF that eliminates only untagged columns, carrying _Aux columns along."""
-
-    def live(r: Vec) -> bool:
-        return any(not isinstance(k, _Aux) for k in r)
-
-    work = [dict(r) for r in rows if live(r)]
-    pivots: list = []
-    done: list[Vec] = []
-    while work:
-        col = min(min(k for k in r if not isinstance(k, _Aux)) for r in work)
-        cand = [r for r in work if col in r]
-        best = min(cand, key=lambda r: pivot_complexity(r[col]))
-        work.remove(best)
-        if best[col] != 1:
-            best = vec_scale(best, 1 / best[col])
-        work = [vec_axpy(r, -r[col], best) if col in r else r for r in work]
-        work = [r for r in work if live(r)]
-        done = [vec_axpy(r, -r[col], best) if col in r else r for r in done]
-        pivots.append(col)
-        done.append(best)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [done[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +254,20 @@ class Subspace:
         pivots, rows = rref(vectors)
         return Subspace(tuple(pivots), tuple(rows))
 
+    @cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.pivots, self.rows))
+
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
     def reduce(self, v: Vec) -> Vec:
         """Canonical representative of v modulo this subspace."""
-        out = dict(v)
-        for p, row in zip(self.pivots, self.rows):
-            c = out.get(p)
-            if c:
-                out = vec_axpy(out, -c, row)
-        return out
+        return _reduce(self._index, v)[0]
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
-
-    def union(self, other: "Subspace") -> "Subspace":
-        return Subspace.span([dict(r) for r in self.rows + other.rows])
 
     def basis(self) -> list[Vec]:
         return [dict(r) for r in self.rows]

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .cochain import Form, cohomology, differential, lambda_basis
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
-from .linalg import Matrix, SpanSolver, Subspace, kernel_basis
+from .linalg import Matrix, SpanSolver, Subspace, kernel_basis, vec_axpy_into
 
 
 class FiltrationUndefined(ValueError):
@@ -81,6 +81,13 @@ class _PageComputer:
             self._d_image[idx] = out
         return out
 
+    def d_vec(self, vec: dict) -> dict:
+        """d of a monomial-keyed vector."""
+        img: dict = {}
+        for idx, c in vec.items():
+            vec_axpy_into(img, c, self.d_of(idx).coeffs)
+        return img
+
     def weight_levels(self, p: int) -> list[int]:
         return sorted(set(self.weights[p]))
 
@@ -114,19 +121,8 @@ class _PageComputer:
 
     def boundary_space(self, r: int, w: int, p: int) -> Subspace:
         """Z_{r-1}(w-1, p) + d Z_{r-1}(w+r-1, p-1)."""
-        gens = list(self.z_vectors(r - 1, w - 1, p))
-        for vec in self.z_vectors(r - 1, w + r - 1, p - 1):
-            img: dict = {}
-            for idx, c in vec.items():
-                for m, val in self.d_of(idx).coeffs.items():
-                    s = img.get(m, 0) + c * val
-                    if s:
-                        img[m] = s
-                    else:
-                        img.pop(m, None)
-            if img:
-                gens.append(img)
-        return Subspace.span(gens)
+        images = [self.d_vec(v) for v in self.z_vectors(r - 1, w + r - 1, p - 1)]
+        return Subspace.span(self.z_vectors(r - 1, w - 1, p) + [v for v in images if v])
 
     def block(self, r: int, w: int, p: int) -> tuple[list[dict], Subspace]:
         z = Subspace.span(self.z_vectors(r, w, p))
@@ -155,51 +151,37 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     for r in range(1, r_max + 1):
         blocks = {}
         reps_vec = {}
-        denoms = {}
+        denoms = {}  # boundary spaces of the blocks d_r maps a nonzero block into
         for p in range(b.dim + 1):
             for w in comp.weight_levels(p):
                 reps, denom = comp.block(r, w, p)
                 if reps:
                     blocks[(w, p)] = tuple(Form(p, dict(v)) for v in reps)
                     reps_vec[(w, p)] = reps
+                if (w + r, p - 1) in reps_vec:
                     denoms[(w, p)] = denom
         diffs = {}
         for (w, p), reps in reps_vec.items():
             target = (w - r, p + 1)
             t_reps = reps_vec.get(target)
+            denom = denoms.get(target)  # None: F_{w-r} holds no (p+1)-forms
+            solver = SpanSolver(t_reps + denom.basis()) if t_reps else None
             entries = {}
-            if t_reps:
-                solver = SpanSolver(t_reps + denoms[target].basis())
-                for c, vec in enumerate(reps):
-                    img: dict = {}
-                    for idx, cv in vec.items():
-                        for m, val in comp.d_of(idx).coeffs.items():
-                            s = img.get(m, 0) + cv * val
-                            if s:
-                                img[m] = s
-                            else:
-                                img.pop(m, None)
-                    if not img:
-                        continue
-                    coords = solver.solve(img)
-                    if coords is None:
-                        raise AssertionError("d_r image escaped its target block")
-                    for row in range(len(t_reps)):
-                        if coords[row]:
-                            entries[(row, c)] = coords[row]
-            else:
-                # target block is zero; record the map as zero
-                for c, vec in enumerate(reps):
-                    img = {}
-                    for idx, cv in vec.items():
-                        for m, val in comp.d_of(idx).coeffs.items():
-                            s = img.get(m, 0) + cv * val
-                            if s:
-                                img[m] = s
-                            else:
-                                img.pop(m, None)
-                    if img and not comp.boundary_space(r, w - r, p + 1).contains(img):
+            for c, vec in enumerate(reps):
+                img = comp.d_vec(vec)
+                if not img:
+                    continue
+                if solver is None:
+                    # target block is zero; record the map as zero
+                    if denom is None or not denom.contains(img):
                         raise AssertionError("nonzero d_r into an empty block")
+                    continue
+                coords = solver.solve(img)
+                if coords is None:
+                    raise AssertionError("d_r image escaped its target block")
+                for row in range(len(t_reps)):
+                    if coords[row]:
+                        entries[(row, c)] = coords[row]
             diffs[(w, p)] = Matrix(len(t_reps) if t_reps else 0, len(reps), entries)
         page = SpectralPage(r, blocks, diffs)
         pages.append(page)
@@ -223,7 +205,8 @@ class SurvivalVerdict:
     obstruction_image: Form | None = None
 
 
-def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None) -> SurvivalVerdict:
+def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None,
+                        pages: list[SpectralPage] | None = None) -> SurvivalVerdict:
     """Does a homogeneous symplectic class of weight 2k+1 survive to E_infty?
 
     Because no differential ever maps into the corner block (w = 2k+1,
@@ -231,7 +214,8 @@ def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None) -> S
     closed 2-form on the filtered algebra; the surviving subspace is
     computed directly from the closed forms and searched for a symplectic
     element.  On failure the first nonzero page differential out of the
-    corner block is reported as the obstruction witness.
+    corner block is reported as the obstruction witness, read from pages
+    when the caller already built them with ``build_pages(a, adapted)``.
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
@@ -274,7 +258,8 @@ def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None) -> S
             return SurvivalVerdict(True, sym, surviving_dim=len(lifts))
 
     # obstructed: locate the first nonzero differential out of the corner
-    pages = build_pages(a, adapted)
+    if pages is None:
+        pages = build_pages(a, adapted)
     for page in pages:
         reps = page.blocks.get((top, 2))
         mat = page.differentials.get((top, 2))

@@ -11,8 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filiform.linalg import (Matrix, Subspace, kernel_basis, rank,
-                             rank_drop_candidates, rref, solve_in_span)
+from filiform.linalg import (Matrix, SpanSolver, Subspace, kernel_basis, rank,
+                             rank_drop_candidates, rref, solve_in_span, vec_axpy)
 from filiform.scalars import RatFunc
 
 
@@ -151,6 +151,84 @@ def test_rank_nullity_and_row_op_invariance(m, rng):
     scales = [Fraction(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2])) for _ in range(m.rows)]
     entries = {(perm[r0], c): scales[r0] * v for (r0, c), v in m.entries.items()}
     assert rank(Matrix(m.rows, m.cols, entries)) == r
+
+
+@st.composite
+def sparse_rows(draw, max_rows=6, cols=7):
+    """Sparse rational rows plus a few combinations of them (rank deficits)."""
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    rows = [{c: draw(entry) for c in range(cols) if draw(st.integers(0, 2)) == 0}
+            for _ in range(draw(st.integers(0, max_rows)))]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(vec_axpy(vec_axpy({}, draw(entry), a), draw(entry), b))
+    return rows
+
+
+def sympy_rref(rows, cols):
+    """(pivots, rows) of sympy's RREF, as sparse Fraction rows."""
+    if not rows:
+        return [], []
+    m, pivots = sympy.Matrix([[sympy.Rational(r.get(c, 0)) for c in range(cols)]
+                              for r in rows]).rref()
+    out = [{c: Fraction(int(m[i, c].p), int(m[i, c].q)) for c in range(cols) if m[i, c]}
+           for i in range(len(pivots))]
+    return list(pivots), out
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows(), st.randoms())
+def test_rref_matches_sympy_row_for_row(rows, rng):
+    expected = sympy_rref(rows, 7)
+    assert rref(rows) == expected
+    # the RREF depends on the row space only: shuffle and rescale the input
+    scales = [Fraction(rng.choice([1, 2, -3, 7]), rng.choice([1, 5])) for _ in rows]
+    mixed = [{c: s * v for c, v in r.items()} for r, s in zip(rows, scales)]
+    rng.shuffle(mixed)
+    assert rref(mixed) == expected
+
+
+def rows_rank(rows, cols=7) -> int:
+    return sympy_rank(Matrix(len(rows), cols, {(r, c): v for r, row in enumerate(rows)
+                                               for c, v in row.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(), sparse_rows(max_rows=1), st.booleans())
+def test_span_solver_round_trip(gens, extra, combine):
+    target = extra[0] if extra else {}
+    if combine and gens:
+        # a target inside the span, built from the generators
+        target = {}
+        for i, g in enumerate(gens):
+            target = vec_axpy(target, Fraction(i - 2, 3), g)
+    coeffs = SpanSolver(gens).solve(target)
+    assert (coeffs is None) == (rows_rank(gens + [target]) > rows_rank(gens))
+    if coeffs is not None:
+        total = {}
+        for c, g in zip(coeffs, gens):
+            total = vec_axpy(total, c, g)
+        assert total == target
+
+
+def sequential_reduce(space: Subspace, v):
+    """Reference: subtract the pivot rows one after another, re-reading v."""
+    out = dict(v)
+    for p, row in zip(space.pivots, space.rows):
+        c = out.get(p)
+        if c:
+            out = vec_axpy(out, -c, row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows(), sparse_rows(max_rows=3))
+def test_subspace_reduce_matches_sequential_reference(gens, vectors):
+    space = Subspace.span(gens)
+    for v in vectors:
+        red = space.reduce(v)
+        assert red == sequential_reduce(space, v)
+        assert not any(p in red for p in space.pivots)
 
 
 def test_subspace_reduce_and_quotient():

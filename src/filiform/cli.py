@@ -38,6 +38,8 @@ def _load_algebra(path: str) -> tuple[LieAlgebra, str]:
         algebra = LieAlgebra.from_dict(doc, check=False)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read algebra from {path}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"cannot read algebra from {path}: zero denominator, {exc}") from exc
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
     return algebra, digest
 

@@ -140,7 +140,10 @@ class LieAlgebra:
         table = {}
         for i, j, comps in doc["brackets"]:
             table[(int(i), int(j))] = {int(k): rat(c) for k, c in comps}
-        a = LieAlgebra(int(doc["dim"]), table, weights=doc.get("weights"))
+        weights = doc.get("weights")
+        if weights is not None and len(weights) != int(doc["dim"]):
+            raise ValueError(f"{len(weights)} weights for dimension {doc['dim']}")
+        a = LieAlgebra(int(doc["dim"]), table, weights=weights)
         if check:
             bad = jacobi_check(a)
             if bad:

@@ -12,12 +12,14 @@ it keeps work rows bucketed by leading column (see ``rref``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
 from .scalars import as_scalar, pivot_complexity
 
 Vec = dict  # {col: scalar}, zero entries never stored
+_ONE = Fraction(1)  # shared: Fractions are immutable
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -58,6 +60,14 @@ def vec_axpy(a: Vec, c, b: Vec) -> Vec:
     out = dict(a)
     if c:
         vec_axpy_into(out, c, b)
+    return out
+
+
+def vec_combination(coeffs, vectors) -> Vec:
+    """sum(c * v for c, v in zip(coeffs, vectors)), sparse."""
+    out: Vec = {}
+    for c, v in zip(coeffs, vectors):
+        vec_axpy_into(out, c, v)
     return out
 
 
@@ -127,12 +137,15 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
     while heap:
         col = heappop(heap)
         bucket = buckets.pop(col)
-        best = min(bucket, key=lambda i: (pivot_complexity(work[i][col]), i))
+        if len(bucket) == 1:
+            best = bucket[0]
+        else:
+            best = min(bucket, key=lambda i: (pivot_complexity(work[i][col]), i))
         row, tag = work[best], wtags[best]
         if row[col] != 1:
             inv = 1 / row[col]
             row, tag = vec_scale(row, inv), vec_scale(tag, inv)
-        row[col] = as_scalar(1)
+        row[col] = _ONE
         for i in bucket:
             if i != best:
                 c = -work[i][col]
@@ -183,7 +196,7 @@ def kernel_of_rows(rows: list[Vec], columns) -> list[Vec]:
     """
     pivots, red = rref(rows)
     pivot_set = set(pivots)
-    basis = {f: {f: as_scalar(1)} for f in columns if f not in pivot_set}
+    basis = {f: {f: _ONE} for f in columns if f not in pivot_set}
     for p, row in zip(pivots, red):
         for f, c in row.items():
             if f in basis:
@@ -215,7 +228,7 @@ class SpanSolver:
     def __init__(self, generators: list[Vec]):
         self.n = len(generators)
         pivots, rows, tags = _eliminate(
-            generators, [{i: as_scalar(1)} for i in range(self.n)])
+            generators, [{i: _ONE} for i in range(self.n)])
         self._index = dict(zip(pivots, rows))
         self._tags = dict(zip(pivots, tags))  # pivot row as a generator combination
 

@@ -15,6 +15,9 @@ Pages are computed as exact subquotients
 with canonical reduced representatives throughout.  E_1(w, p) is the
 weight-w cohomology of the associated graded algebra and the block totals
 per cochain degree decrease to the Betti numbers of the filtered algebra.
+Each page is the homology of the one before, E_{r+1} = H(E_r, d_r), so a
+block that vanishes on page r vanishes on every later page; page r+1 is
+built only over the blocks page r left nonzero.
 
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
 is decided exactly: a top-weight class survives to the last page iff it is
@@ -28,7 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .cochain import Form, cohomology, differential, lambda_basis
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
-from .linalg import Matrix, SpanSolver, Subspace, kernel_basis, vec_axpy_into
+from .linalg import (Matrix, SpanSolver, Subspace, kernel_basis, vec_axpy_into,
+                     vec_combination)
 
 
 class FiltrationUndefined(ValueError):
@@ -137,6 +141,12 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     Stops at r_max (default 2 dim + 1) or as soon as every block total has
     converged to the corresponding Betti number, whichever comes first.
     Raises FiltrationUndefined when the adapted antidiagonal is nonzero.
+
+    Page 1 builds every block.  Since E_{r+1} is the homology of (E_r, d_r),
+    a block that is zero on page r stays zero on every later page, so page
+    r+1 only builds the blocks that were nonzero on page r.  Of the other
+    blocks it computes just the boundary space of those that d_{r+1} maps a
+    nonzero block into: the check that no image leaves its target needs it.
     """
     if adapted is None:
         adapted = adapted_basis(a)
@@ -148,17 +158,24 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     if r_max is None:
         r_max = 2 * b.dim + 1
     pages = []
+    alive = None  # blocks nonzero on the previous page; None: build every block
     for r in range(1, r_max + 1):
         blocks = {}
         reps_vec = {}
         denoms = {}  # boundary spaces of the blocks d_r maps a nonzero block into
         for p in range(b.dim + 1):
             for w in comp.weight_levels(p):
+                is_target = (w + r, p - 1) in reps_vec
+                if alive is not None and (w, p) not in alive:
+                    # zero since page r - 1; a target still needs its denominator
+                    if is_target:
+                        denoms[(w, p)] = comp.boundary_space(r, w, p)
+                    continue
                 reps, denom = comp.block(r, w, p)
                 if reps:
                     blocks[(w, p)] = tuple(Form(p, dict(v)) for v in reps)
                     reps_vec[(w, p)] = reps
-                if (w + r, p - 1) in reps_vec:
+                if is_target:
                     denoms[(w, p)] = denom
         diffs = {}
         for (w, p), reps in reps_vec.items():
@@ -185,6 +202,7 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
             diffs[(w, p)] = Matrix(len(t_reps) if t_reps else 0, len(reps), entries)
         page = SpectralPage(r, blocks, diffs)
         pages.append(page)
+        alive = blocks.keys()
         totals = page.total_dims()
         if all(totals.get(p, 0) == betti[p] for p in range(b.dim + 1)):
             break
@@ -238,14 +256,7 @@ def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     if lifts:
         from .structures import _witness_points, wedge_power
         for point in _witness_points(len(lifts)):
-            combo: dict = {}
-            for c, vec in zip(point, lifts):
-                for idx, val in vec.items():
-                    s = combo.get(idx, 0) + c * val
-                    if s:
-                        combo[idx] = s
-                    else:
-                        combo.pop(idx, None)
+            combo = vec_combination(point, lifts)
             lead = leading(combo)
             if lead and not wedge_power(b, lead, k_power).is_zero():
                 lift = Form(2, combo)
@@ -300,15 +311,7 @@ def _symplectic_point_in_leading_span(b, lifts, leading, k_power):
             break
     if point is None:
         return None
-    combo: dict = {}
-    for c, vec in zip(point, lifts):
-        for idx, val in vec.items():
-            s = combo.get(idx, 0) + c * val
-            if s:
-                combo[idx] = s
-            else:
-                combo.pop(idx, None)
-    lift = Form(2, combo)
+    lift = Form(2, vec_combination(point, lifts))
     if differential(b, lift) or wedge_power(b, lift, k_power).is_zero():
         raise AssertionError("survival lift failed to verify")
     return lift

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from filiform.cli import main
 
 
@@ -144,3 +146,31 @@ def test_deterministic_output(tmp_path, capsys):
 def test_missing_file_is_input_error(capsys):
     code = main(["check", "/nonexistent/whatever.json"])
     assert code == 1
+
+
+def _zero_denominator(doc):
+    doc["brackets"][0][2][0][1] = "1/0"
+
+
+def _short_weights(doc):
+    doc["weights"] = doc["weights"][:-1]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_zero_denominator, "zero denominator"),
+    (_short_weights, "5 weights for dimension 6"),
+])
+def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
+    from filiform import catalog
+    doc = catalog.build("m0", n=6).to_dict()
+    corrupt(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check"], ["cohomology", "--degree", "2"], ["spectral"],
+                 ["symplectic"], ["contact"]):
+        code = main([argv[0], str(path)] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.err.startswith("error: cannot read algebra")
+        assert reason in captured.err
+        assert "Traceback" not in captured.out + captured.err

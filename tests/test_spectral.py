@@ -7,7 +7,7 @@ import pytest
 from filiform import catalog
 from filiform.cochain import Form, betti_numbers, cohomology, lambda_basis
 from filiform.lie import adapted_basis, gr_l
-from filiform.spectral import (FiltrationUndefined, build_pages,
+from filiform.spectral import (FiltrationUndefined, _PageComputer, build_pages,
                                h3_weight_profile, symplectic_survival)
 
 F = Form.from_pairs
@@ -66,6 +66,21 @@ def test_convergence_to_betti_numbers():
             te, tl = earlier.total_dims(), later.total_dims()
             for p in range(a.dim + 1):
                 assert tl.get(p, 0) <= te.get(p, 0)
+
+
+def test_blocks_skipped_after_vanishing_are_zero():
+    # build_pages builds page r only over the blocks nonzero on page r - 1;
+    # every block it skips must be zero when computed in full
+    for label, a in DEFORMATIONS:
+        ab = adapted_basis(a)
+        pages = build_pages(a, ab)
+        comp = _PageComputer(ab.algebra)
+        for prev, page in zip(pages, pages[1:]):
+            for p in range(a.dim + 1):
+                for w in comp.weight_levels(p):
+                    if (w, p) not in prev.blocks:
+                        reps, _ = comp.block(page.r, w, p)
+                        assert reps == [], (label, page.r, w, p)
 
 
 def test_d_r_squared_zero():

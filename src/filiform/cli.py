@@ -22,7 +22,7 @@ from .cochain import cohomology
 from .extensions import enumerate_graded_filiform
 from .lie import LieAlgebra, adapted_basis, central_series, is_filiform, jacobi_check
 from .scalars import format_rat, rat
-from .spectral import build_pages, symplectic_survival
+from .spectral import degree_totals, page_dimensions, symplectic_survival
 from .structures import contact_exists, symplectic_exists
 
 
@@ -133,7 +133,7 @@ def cmd_symplectic(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
         cert = symplectic_exists(a)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     result = {"exists": cert.exists}
     if cert.exists:
@@ -156,9 +156,7 @@ def cmd_contact(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
         cert = contact_exists(a)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    except RuntimeError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     result = {"exists": cert is not None}
     if cert is not None:
@@ -174,28 +172,27 @@ def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
         adapted = adapted_basis(a)
-        pages = build_pages(a, adapted)
-    except ValueError as exc:
+        pages = page_dimensions(a, adapted)
+        verdict = symplectic_survival(a, adapted) if a.dim % 2 == 0 else None
+    except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     tables = []
-    for page in pages:
+    for r, dims in enumerate(pages, start=1):
         tables.append({
-            "r": page.r,
-            "blocks": [[-w, deg + w, dim]
-                       for (w, deg), dim in sorted(page.block_dims().items())],
-            "totals": {str(k): v for k, v in page.total_dims().items()},
+            "r": r,
+            "blocks": [[-w, deg + w, dim] for (w, deg), dim in sorted(dims.items())],
+            "totals": {str(k): v for k, v in degree_totals(dims).items()},
         })
     result = {"pages": tables}
-    if a.dim % 2 == 0:
-        v = symplectic_survival(a, adapted, pages)
-        result["symplectic_survival"] = {"survives": v.survives}
-        if v.survives:
-            result["symplectic_survival"]["lift"] = _form_pairs(v.lift)
-        elif v.obstruction_page is not None:
+    if verdict is not None:
+        result["symplectic_survival"] = {"survives": verdict.survives}
+        if verdict.survives:
+            result["symplectic_survival"]["lift"] = _form_pairs(verdict.lift)
+        elif verdict.obstruction_page is not None:
             result["symplectic_survival"]["obstruction"] = {
-                "page": v.obstruction_page,
-                "class": _form_pairs(v.obstruction_source),
-                "image": _form_pairs(v.obstruction_image),
+                "page": verdict.obstruction_page,
+                "class": _form_pairs(verdict.obstruction_source),
+                "image": _form_pairs(verdict.obstruction_image),
             }
     human = ["spectral pages (E_r block dimensions as p, q, dim):"]
     for t in tables if args.report else []:

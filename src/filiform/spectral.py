@@ -19,15 +19,32 @@ Each page is the homology of the one before, E_{r+1} = H(E_r, d_r), so a
 block that vanishes on page r vanishes on every later page; page r+1 is
 built only over the blocks page r left nonzero.
 
+Block dimensions alone come from one persistence pairing of d per degree
+(Edelsbrunner-Harer, Computational Topology, ch. VII): the columns of
+d: L^p -> L^{p+1} over the monomials sorted by (weight, idx) are reduced
+left to right until every nonzero column has its own low (last row), and a
+column paired with its low has the gap w(column) - w(low).  A pair with
+gap g is a nonzero d_g between the blocks of its two monomials, so both
+count on the pages 1..g, and
+
+    dim E_r(w, p) = #{degree-p monomials of weight w that are unpaired or
+                      paired with gap >= r},
+
+and the unpaired monomials of degree p count the Betti number b_p.
+
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
 is decided exactly: a top-weight class survives to the last page iff it is
 the leading term of a genuinely closed 2-form, and such a closed form with
 symplectic leading term is itself symplectic (the top power only sees the
-leading weight).
+leading weight).  Nothing maps into the corner (1-forms have weight <= 2k),
+so its first nonzero differential d_r sits on the page r* = the smallest
+gap >= 1 of a corner monomial; the obstruction witness builds only the
+corner block and its target on that page.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from .cochain import Form, cohomology, differential, lambda_basis
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
@@ -56,14 +73,20 @@ class SpectralPage:
                 for (w, deg), reps in self.blocks.items() if reps}
 
     def total_dims(self) -> dict:
-        out: dict[int, int] = {}
-        for (w, deg), reps in self.blocks.items():
-            out[deg] = out.get(deg, 0) + len(reps)
-        return {deg: d for deg, d in sorted(out.items()) if d}
+        return degree_totals(self.block_dims())
+
+
+def degree_totals(dims: dict) -> dict:
+    """Nonzero totals per cochain degree of a {(w, degree): dim} table."""
+    out: dict[int, int] = {}
+    for (w, deg), d in dims.items():
+        out[deg] = out.get(deg, 0) + d
+    return {deg: d for deg, d in sorted(out.items()) if d}
 
 
 class _PageComputer:
-    """Caches bases, differentials and Z-spaces for one filtered complex."""
+    """Caches bases, differentials, Z-spaces and the persistence pairing of
+    one filtered complex."""
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
@@ -77,6 +100,7 @@ class _PageComputer:
             self.weights[p] = [sum(idx) for idx in basis]
         self._d_image: dict[tuple, Form] = {}
         self._z_cache: dict[tuple, list] = {}
+        self._pairings: dict[int, dict] = {}
 
     def d_of(self, idx: tuple) -> Form:
         out = self._d_image.get(idx)
@@ -91,6 +115,38 @@ class _PageComputer:
         for idx, c in vec.items():
             vec_axpy_into(img, c, self.d_of(idx).coeffs)
         return img
+
+    def pairing(self, p: int) -> dict:
+        """Persistence pairing of d: L^p -> L^{p+1}: {paired monomial: gap}.
+
+        The columns are reduced in the (weight, idx) order by adding earlier
+        reduced columns that share their low; a column left nonzero pairs
+        with its low.  The column of a low of d on (p-1)-forms reduces to
+        zero (its d is d of earlier columns, as d^2 = 0), so it is skipped
+        (clearing).  Cached per degree.
+        """
+        got = self._pairings.get(p)
+        if got is not None:
+            return got
+        cleared = self.pairing(p - 1) if p > 0 else {}
+        gaps: dict = {}
+        rows, row_weights = self.bases[p + 1], self.weights[p + 1]
+        pos = {idx: i for i, idx in enumerate(rows)}
+        by_low: dict = {}  # low row -> reduced column
+        for idx, w in zip(self.bases[p], self.weights[p]):
+            if idx in cleared:
+                continue
+            col = {pos[m]: c for m, c in self.d_of(idx).coeffs.items()}
+            while col:
+                low = max(col)
+                other = by_low.get(low)
+                if other is None:
+                    by_low[low] = col
+                    gaps[idx] = gaps[rows[low]] = w - row_weights[low]
+                    break
+                vec_axpy_into(col, -col[low] / other[low], other)
+        self._pairings[p] = gaps
+        return gaps
 
     def weight_levels(self, p: int) -> list[int]:
         return sorted(set(self.weights[p]))
@@ -133,6 +189,41 @@ class _PageComputer:
         b = self.boundary_space(r, w, p)
         return z.quotient_representatives(b), b
 
+    def d_r_matrix(self, reps: list[dict], t_reps: list[dict] | None,
+                   denom: Subspace | None) -> Matrix:
+        """Matrix of d_r from a block into its target block.
+
+        t_reps and denom are the target's representatives and boundary
+        space; denom is None when the target weight holds no cochains.
+        """
+        solver = SpanSolver(t_reps + denom.basis()) if t_reps else None
+        entries = {}
+        for c, vec in enumerate(reps):
+            img = self.d_vec(vec)
+            if not img:
+                continue
+            if solver is None:
+                # target block is zero; record the map as zero
+                if denom is None or not denom.contains(img):
+                    raise AssertionError("nonzero d_r into an empty block")
+                continue
+            coords = solver.solve(img)
+            if coords is None:
+                raise AssertionError("d_r image escaped its target block")
+            for row in range(len(t_reps)):
+                if coords[row]:
+                    entries[(row, c)] = coords[row]
+        return Matrix(len(t_reps) if t_reps else 0, len(reps), entries)
+
+
+def _filtered_algebra(a: LieAlgebra, adapted: AdaptedBasis | None) -> LieAlgebra:
+    """The algebra in adapted coordinates, where the weight filtration lives."""
+    if adapted is None:
+        adapted = adapted_basis(a)
+    if adapted.alpha:
+        raise FiltrationUndefined("alpha != 0: the weight filtration is undefined")
+    return adapted.algebra
+
 
 def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
                 r_max: int | None = None) -> list[SpectralPage]:
@@ -148,11 +239,7 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     blocks it computes just the boundary space of those that d_{r+1} maps a
     nonzero block into: the check that no image leaves its target needs it.
     """
-    if adapted is None:
-        adapted = adapted_basis(a)
-    if adapted.alpha:
-        raise FiltrationUndefined("alpha != 0: the weight filtration is undefined")
-    b = adapted.algebra
+    b = _filtered_algebra(a, adapted)
     comp = _PageComputer(b)
     betti = [cohomology(b, p, blocked=False).dim for p in range(b.dim + 1)]
     if r_max is None:
@@ -180,31 +267,46 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
         diffs = {}
         for (w, p), reps in reps_vec.items():
             target = (w - r, p + 1)
-            t_reps = reps_vec.get(target)
-            denom = denoms.get(target)  # None: F_{w-r} holds no (p+1)-forms
-            solver = SpanSolver(t_reps + denom.basis()) if t_reps else None
-            entries = {}
-            for c, vec in enumerate(reps):
-                img = comp.d_vec(vec)
-                if not img:
-                    continue
-                if solver is None:
-                    # target block is zero; record the map as zero
-                    if denom is None or not denom.contains(img):
-                        raise AssertionError("nonzero d_r into an empty block")
-                    continue
-                coords = solver.solve(img)
-                if coords is None:
-                    raise AssertionError("d_r image escaped its target block")
-                for row in range(len(t_reps)):
-                    if coords[row]:
-                        entries[(row, c)] = coords[row]
-            diffs[(w, p)] = Matrix(len(t_reps) if t_reps else 0, len(reps), entries)
+            diffs[(w, p)] = comp.d_r_matrix(reps, reps_vec.get(target),
+                                            denoms.get(target))
         page = SpectralPage(r, blocks, diffs)
         pages.append(page)
         alive = blocks.keys()
         totals = page.total_dims()
         if all(totals.get(p, 0) == betti[p] for p in range(b.dim + 1)):
+            break
+    return pages
+
+
+def page_dimensions(a: LieAlgebra,
+                    adapted: AdaptedBasis | None = None) -> list[dict]:
+    """Block dimensions {(w, degree): dim} of the pages E_1, E_2, ...
+
+    Read off the persistence pairing of d, without representatives; the
+    list equals [page.block_dims() for page in build_pages(a, adapted)]:
+    it stops at the first page whose totals are the Betti numbers, and
+    after at most 2 dim + 1 pages.
+    """
+    b = _filtered_algebra(a, adapted)
+    comp = _PageComputer(b)
+    gaps: dict = {}  # monomials absent from every pairing are unpaired
+    for p in range(b.dim):
+        gaps.update(comp.pairing(p))
+
+    def dims_on(r) -> dict:
+        # an unpaired monomial counts on every page, r = inf included
+        dims: dict = {}
+        for p in range(b.dim + 1):
+            for idx, w in zip(comp.bases[p], comp.weights[p]):
+                if gaps.get(idx, r) >= r:
+                    dims[(w, p)] = dims.get((w, p), 0) + 1
+        return dims
+
+    betti = degree_totals(dims_on(math.inf))
+    pages = []
+    for r in range(1, 2 * b.dim + 2):
+        pages.append(dims_on(r))
+        if degree_totals(pages[-1]) == betti:
             break
     return pages
 
@@ -223,8 +325,8 @@ class SurvivalVerdict:
     obstruction_image: Form | None = None
 
 
-def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None,
-                        pages: list[SpectralPage] | None = None) -> SurvivalVerdict:
+def symplectic_survival(a: LieAlgebra,
+                        adapted: AdaptedBasis | None = None) -> SurvivalVerdict:
     """Does a homogeneous symplectic class of weight 2k+1 survive to E_infty?
 
     Because no differential ever maps into the corner block (w = 2k+1,
@@ -232,16 +334,13 @@ def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     closed 2-form on the filtered algebra; the surviving subspace is
     computed directly from the closed forms and searched for a symplectic
     element.  On failure the first nonzero page differential out of the
-    corner block is reported as the obstruction witness, read from pages
-    when the caller already built them with ``build_pages(a, adapted)``.
+    corner block is reported as the obstruction witness; its page is the
+    smallest pairing gap >= 1 of a corner monomial, and only the corner
+    block and its target are built on that page.
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
-    if adapted is None:
-        adapted = adapted_basis(a)
-    if adapted.alpha:
-        raise FiltrationUndefined("alpha != 0: the weight filtration is undefined")
-    b = adapted.algebra
+    b = _filtered_algebra(a, adapted)
     n = b.dim
     k = n // 2
     comp = _PageComputer(b)
@@ -268,27 +367,26 @@ def symplectic_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None,
         if sym is not None:
             return SurvivalVerdict(True, sym, surviving_dim=len(lifts))
 
-    # obstructed: locate the first nonzero differential out of the corner
-    if pages is None:
-        pages = build_pages(a, adapted)
-    for page in pages:
-        reps = page.blocks.get((top, 2))
-        mat = page.differentials.get((top, 2))
-        if not reps or mat is None:
-            continue
-        if mat.entries:
-            (row, col) = sorted(mat.entries)[0]
-            target = page.blocks[(top - page.r, 3)]
-            image = Form.zero(3)
-            for (rr, cc), v in mat.entries.items():
-                if cc == col:
-                    image = image.add(target[rr].scale(v))
-            return SurvivalVerdict(
-                False, surviving_dim=len(lifts),
-                obstruction_page=page.r,
-                obstruction_source=reps[col],
-                obstruction_image=image)
-    return SurvivalVerdict(False, surviving_dim=len(lifts))
+    # obstructed: the first nonzero differential out of the corner; corner
+    # monomials pair only as columns of d on 2-forms (1-forms weigh <= 2k)
+    gaps = comp.pairing(2)
+    r = min((gaps[idx] for idx, w in zip(comp.bases[2], comp.weights[2])
+             if w == top and gaps.get(idx, 0) >= 1), default=None)
+    if r is None:
+        return SurvivalVerdict(False, surviving_dim=len(lifts))
+    reps, _ = comp.block(r, top, 2)
+    t_reps, denom = comp.block(r, top - r, 3)
+    mat = comp.d_r_matrix(reps, t_reps, denom)
+    if not mat.entries:
+        raise AssertionError("corner pairing gap without a nonzero d_r")
+    _, col = min(mat.entries)
+    image = vec_combination(
+        [mat.entries.get((rr, col), 0) for rr in range(len(t_reps))], t_reps)
+    return SurvivalVerdict(
+        False, surviving_dim=len(lifts),
+        obstruction_page=r,
+        obstruction_source=Form(2, reps[col]),
+        obstruction_image=Form(3, image))
 
 
 def _symplectic_point_in_leading_span(b, lifts, leading, k_power):

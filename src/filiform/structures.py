@@ -29,7 +29,7 @@ from fractions import Fraction
 from .cochain import Form, _merge_sign, differential, lambda_basis
 from .extensions import ExtensionCocycle, central_extension
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis, gr_l, is_filiform
-from .linalg import kernel_basis
+from .linalg import kernel_basis, vec_combination
 from .scalars import MPoly, as_scalar
 
 
@@ -108,14 +108,6 @@ class SymplecticCertificate:
 # polynomial non-vanishing machinery
 # ---------------------------------------------------------------------------
 
-def _combination_form(forms: list[Form], point) -> Form:
-    out = Form.zero(forms[0].degree)
-    for c, f in zip(point, forms):
-        if c:
-            out = out.add(f.scale(c))
-    return out
-
-
 def _witness_points(m: int):
     yield tuple(Fraction(1) for _ in range(m))
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -139,8 +131,9 @@ def _symplectic_in_span(a: LieAlgebra, forms: list[Form]) -> Form | None:
         return None
     k = a.dim // 2
     m = len(forms)
+    vecs = [f.coeffs for f in forms]
     for point in _witness_points(m):
-        cand = _combination_form(forms, point)
+        cand = Form(2, vec_combination(point, vecs))
         if not wedge_power(a, cand, k).is_zero():
             return cand
     from math import comb
@@ -164,13 +157,13 @@ def _symplectic_in_span(a: LieAlgebra, forms: list[Form]) -> Form | None:
                 "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
         point = None
         for grid_point in itertools.product(range(k + 1), repeat=m):
-            cand = _combination_form(forms, [Fraction(x) for x in grid_point])
+            cand = Form(2, vec_combination(grid_point, vecs))
             if not wedge_power(a, cand, k).is_zero():
-                point = [Fraction(x) for x in grid_point]
+                point = grid_point
                 break
         if point is None:
             return None
-    cand = _combination_form(forms, point)
+    cand = Form(2, vec_combination(point, vecs))
     if wedge_power(a, cand, k).is_zero():
         raise AssertionError("witness failed to verify")
     return cand

@@ -33,7 +33,7 @@ from filiform.lie import (LieAlgebra, adapted_basis, gr_c, gr_l,
                           grading_violations, jacobi_check, m0_certificate)
 from filiform.linalg import Subspace, rank_drop_candidates
 from filiform.spectral import (build_pages, canonical_block_representative,
-                               symplectic_survival)
+                               page_dimensions, symplectic_survival)
 from filiform.structures import (contact_check, contactize,
                                  is_symplectic_form, symplectic_exists)
 
@@ -283,6 +283,7 @@ def test_criterion_6_spectral_identification():
         ab = adapted_basis(a)
         graded = gr_l(a, ab)
         pages = build_pages(a, ab)
+        assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
         dims = pages[0].block_dims()
         for p in range(a.dim + 1):
             weights = sorted({sum(idx) for idx in lambda_basis(a.dim, p)}) or [0]

@@ -117,6 +117,11 @@ def test_spectral_report(tmp_path, capsys):
     assert not doc["result"]["symplectic_survival"]["survives"]
     page1 = doc["result"]["pages"][0]
     assert [-11, 13, 2] in page1["blocks"]
+    assert doc["result"]["symplectic_survival"]["obstruction"] == {
+        "page": 2,
+        "class": [[[2, 9], "1"], [[3, 8], "-1"], [[4, 7], "1"], [[5, 6], "-1"]],
+        "image": [[[2, 3, 4], "-2"]],
+    }
 
 
 def test_catalog_roundtrip(tmp_path, capsys):
@@ -174,3 +179,28 @@ def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
         assert captured.err.startswith("error: cannot read algebra")
         assert reason in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+def _no_adapted_basis(a):
+    from filiform.lie import AdaptedBasisNotFound
+    raise AdaptedBasisNotFound("no adapted basis within the sweep")
+
+
+def _grid_exhausted(a):
+    raise RuntimeError("bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
+
+
+@pytest.mark.parametrize("command, target, fail, reason", [
+    ("spectral", "adapted_basis", _no_adapted_basis, "no adapted basis"),
+    ("symplectic", "symplectic_exists", _grid_exhausted, "FILIFORM_MAX_GRID"),
+])
+def test_undecided_search_is_input_error(tmp_path, capsys, monkeypatch,
+                                         command, target, fail, reason):
+    import filiform.cli
+    monkeypatch.setattr(filiform.cli, target, fail)
+    path = write_algebra(tmp_path, "m0", n=6)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ") and reason in captured.err
+    assert "Traceback" not in captured.out + captured.err

@@ -8,7 +8,8 @@ from filiform import catalog
 from filiform.cochain import Form, betti_numbers, cohomology, lambda_basis
 from filiform.lie import adapted_basis, gr_l
 from filiform.spectral import (FiltrationUndefined, _PageComputer, build_pages,
-                               h3_weight_profile, symplectic_survival)
+                               h3_weight_profile, page_dimensions,
+                               symplectic_survival)
 
 F = Form.from_pairs
 
@@ -22,11 +23,21 @@ DEFORMATIONS = [
 ]
 
 
-def test_page_one_is_graded_cohomology():
+@pytest.fixture(scope="module")
+def built():
+    """{label: (adapted basis, build_pages output)} for every DEFORMATIONS entry."""
+    out = {}
     for label, a in DEFORMATIONS:
         ab = adapted_basis(a)
+        out[label] = (ab, build_pages(a, ab))
+    return out
+
+
+def test_page_one_is_graded_cohomology(built):
+    for label, a in DEFORMATIONS:
+        ab, pages = built[label]
         graded = gr_l(a, ab)
-        page1 = build_pages(a, ab, r_max=1)[0]
+        page1 = pages[0]
         dims = page1.block_dims()
         for p in range(a.dim + 1):
             weights = sorted({sum(idx) for idx in lambda_basis(a.dim, p)}) or [0]
@@ -54,9 +65,9 @@ def test_trivial_deformation_degenerates_at_page_one():
         assert all(not m.entries for m in page.differentials.values())
 
 
-def test_convergence_to_betti_numbers():
+def test_convergence_to_betti_numbers(built):
     for label, a in DEFORMATIONS[:4]:
-        pages = build_pages(a)
+        pages = built[label][1]
         b = betti_numbers(a)
         last = pages[-1].total_dims()
         for p in range(a.dim + 1):
@@ -68,12 +79,11 @@ def test_convergence_to_betti_numbers():
                 assert tl.get(p, 0) <= te.get(p, 0)
 
 
-def test_blocks_skipped_after_vanishing_are_zero():
+def test_blocks_skipped_after_vanishing_are_zero(built):
     # build_pages builds page r only over the blocks nonzero on page r - 1;
     # every block it skips must be zero when computed in full
     for label, a in DEFORMATIONS:
-        ab = adapted_basis(a)
-        pages = build_pages(a, ab)
+        ab, pages = built[label]
         comp = _PageComputer(ab.algebra)
         for prev, page in zip(pages, pages[1:]):
             for p in range(a.dim + 1):
@@ -83,9 +93,9 @@ def test_blocks_skipped_after_vanishing_are_zero():
                         assert reps == [], (label, page.r, w, p)
 
 
-def test_d_r_squared_zero():
+def test_d_r_squared_zero(built):
     for label, a in DEFORMATIONS[:3]:
-        for page in build_pages(a):
+        for page in built[label][1]:
             for (w, p), mat in page.differentials.items():
                 nxt = page.differentials.get((w - page.r, p + 1))
                 if nxt is None or not mat.entries or not nxt.entries:
@@ -96,6 +106,60 @@ def test_d_r_squared_zero():
                         if r1 == c2:
                             comp[(r2, c1)] = comp.get((r2, c1), 0) + v2 * v1
                 assert all(not v for v in comp.values()), (label, page.r, w, p)
+
+
+def test_page_dimensions_match_build_pages(built):
+    # the persistence pairing against the full pages, page count included
+    for label, a in DEFORMATIONS:
+        ab, pages = built[label]
+        assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
+
+
+def test_page_dimensions_match_build_pages_on_random_deformations():
+    import random
+    rng = random.Random(20261018)
+    # n = 9 adds deformations with 3 and 5 pages; at n = 7, 8 only
+    # deformation_21(8) has more than one
+    for n in (7, 8, 9):
+        for _ in range(3):
+            alphas = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                           for _ in range(rng.randint(1, 2)))
+            for name, params in (("deformation_21", {}),
+                                 ("abelian_commutant", {"t": rng.randint(0, 2)})):
+                a = catalog.build(name, n=n, alphas=alphas, **params)
+                ab = adapted_basis(a)
+                want = [pg.block_dims() for pg in build_pages(a, ab)]
+                assert page_dimensions(a, ab) == want, (name, n, alphas, params)
+
+
+def _corner_witness(pages, top):
+    """The first nonzero d_r out of the (top, 2) block, read off full pages."""
+    for page in pages:
+        mat = page.differentials.get((top, 2))
+        if mat is not None and mat.entries:
+            _, col = min(mat.entries)
+            target = page.blocks[(top - page.r, 3)]
+            image = Form.zero(3)
+            for (row, c), v in mat.entries.items():
+                if c == col:
+                    image = image.add(target[row].scale(v))
+            return page.r, page.blocks[(top, 2)][col], image
+    return None
+
+
+def test_survival_witness_matches_build_pages(built):
+    import random
+    rng = random.Random(20261018)
+    cases = [(DEFORMATIONS[0][1], built[DEFORMATIONS[0][0]][1])]
+    for _ in range(2):
+        alphas = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(3))
+        a = catalog.build("deformation_23", alphas=alphas)
+        cases.append((a, build_pages(a)))
+    for a, pages in cases:
+        v = symplectic_survival(a)
+        assert not v.survives
+        got = (v.obstruction_page, v.obstruction_source, v.obstruction_image)
+        assert got == _corner_witness(pages, a.dim + 1)
 
 
 def test_deformation_23_d2_witness():

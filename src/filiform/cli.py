@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 from . import catalog
-from .cochain import cohomology
+from .cochain import cohomology, d_squared_zero
 from .extensions import enumerate_graded_filiform
 from .lie import LieAlgebra, adapted_basis, central_series, is_filiform, jacobi_check
 from .scalars import format_rat, rat
@@ -30,7 +30,9 @@ class InputError(Exception):
     pass
 
 
-def _load_algebra(path: str) -> tuple[LieAlgebra, str]:
+def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
+    """Parse an algebra document; unless check is False, reject one whose
+    d^2 != 0 (the Jacobi identity fails), since no verdict on it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -40,6 +42,9 @@ def _load_algebra(path: str) -> tuple[LieAlgebra, str]:
         raise InputError(f"cannot read algebra from {path}: {exc}") from exc
     except ZeroDivisionError as exc:
         raise InputError(f"cannot read algebra from {path}: zero denominator, {exc}") from exc
+    if check and not d_squared_zero(algebra):
+        raise InputError(f"cannot read algebra from {path}: "
+                         "Jacobi identity fails (d^2 != 0)")
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
     return algebra, digest
 
@@ -59,7 +64,7 @@ def _form_pairs(form) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    a, digest = _load_algebra(args.algebra)
+    a, digest = _load_algebra(args.algebra, check=False)
     bad = jacobi_check(a)
     series = central_series(a)
     graded_1n = a.weights is not None and sorted(a.weights) == list(range(1, a.dim + 1))

@@ -6,10 +6,18 @@ exact scalars.  The differential follows the convention
     d e^k = sum_{i<j} c_ij^k  e^i ^ e^j,
 
 the dual of the bracket extended as a derivation; d^2 = 0 is equivalent to
-the Jacobi identity.  On a graded algebra every monomial carries the weight
+the Jacobi identity.  :func:`d_monomial` is the one Leibniz expansion of d:
+it reads the table of d e^k that the algebra holds (``dual_table``) and
+returns d of a single monomial as a sparse vector; :func:`differential`,
+:func:`d_matrix`, the coboundaries and the spectral pages are its linear
+extensions.
+
+On a graded algebra every monomial carries the weight
 w(i_1) + ... + w(i_p) and d preserves it, so cohomology splits into weight
 blocks H^p_(w); block-wise computation is also much faster and is the
-default on graded input.
+default on graded input.  :func:`monomials_by_weight` enumerates a degree
+once and buckets its monomials by weight, each bucket in lexicographic
+order; every weight block is read from it.
 
 Representatives returned by :func:`cohomology` are canonical: kernel vectors
 are reduced modulo the coboundary space and re-echelonized over the
@@ -22,7 +30,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Subspace, Vec, kernel_basis, rref, solve_in_span
+from .linalg import (Matrix, Subspace, Vec, kernel_basis, rref, solve_in_span,
+                     vec_combination)
 from .lie import LieAlgebra
 from .scalars import as_scalar, format_rat, rat, scalar_at
 
@@ -161,77 +170,72 @@ class Form:
 # the differential
 # ---------------------------------------------------------------------------
 
-def dual_two_forms(a: LieAlgebra) -> list[Form]:
-    """de^k for k = 1..n (index k-1), using d e^k = sum c_ij^k e^i ^ e^j."""
-    cache = getattr(a, "_dual_two_forms", None)
-    if cache is not None:
-        return cache
-    out = [dict() for _ in range(a.dim)]
-    for i, j, k, c in a.structure_terms():
-        out[k - 1][(i, j)] = c
-    forms = [Form(2, d) for d in out]
-    a._dual_two_forms = forms
-    return forms
+def d_monomial(a: LieAlgebra, idx: tuple) -> Vec:
+    """d of the monomial e^idx: the Leibniz rule over the table of d e^k.
+
+    The one expansion of d; every other use of d is a linear extension.
+    """
+    de = a.dual_table
+    out: Vec = {}
+    for t, i_t in enumerate(idx):
+        two = de[i_t - 1]
+        if not two:
+            continue
+        rest = idx[:t] + idx[t + 1:]
+        sgn_t = -1 if t % 2 else 1
+        for pair, b in two.items():
+            merged = _merge_sign(pair + rest)
+            if merged is None:
+                continue
+            new_idx, sign = merged
+            term = b if sign == sgn_t else -b
+            s = out.get(new_idx)
+            s = term if s is None else s + term
+            if s:
+                out[new_idx] = s
+            else:
+                out.pop(new_idx, None)
+    return out
 
 
 def differential(a: LieAlgebra, phi: Form) -> Form:
     """Chevalley-Eilenberg differential, degree raised by one."""
-    de = dual_two_forms(a)
-    out: dict[tuple, object] = {}
-    for idx, c in phi.coeffs.items():
-        for t, i_t in enumerate(idx):
-            two = de[i_t - 1]
-            if not two.coeffs:
-                continue
-            rest = idx[:t] + idx[t + 1:]
-            sgn_t = -1 if t % 2 else 1
-            for pair, b in two.coeffs.items():
-                merged = _merge_sign(pair + rest)
-                if merged is None:
-                    continue
-                new_idx, sign = merged
-                s = out.get(new_idx, 0) + sign * sgn_t * c * b
-                if s:
-                    out[new_idx] = s
-                else:
-                    out.pop(new_idx, None)
-    return Form(phi.degree + 1, out)
+    images = (d_monomial(a, idx) for idx in phi.coeffs)
+    return Form(phi.degree + 1, vec_combination(phi.coeffs.values(), images))
 
 
 def d_squared_zero(a: LieAlgebra) -> bool:
     """d(d e^k) == 0 for every k; equivalent to the Jacobi identity."""
-    for k in range(1, a.dim + 1):
-        if differential(a, differential(a, Form.monomial((k,)))):
-            return False
-    return True
+    return not any(vec_combination(de.values(), (d_monomial(a, ij) for ij in de))
+                   for de in a.dual_table)
 
 
 # ---------------------------------------------------------------------------
 # bases of the exterior algebra
 # ---------------------------------------------------------------------------
 
+def monomials_by_weight(n: int, p: int, weights) -> dict[int, list[tuple]]:
+    """Strictly increasing p-tuples from 1..n bucketed by total weight.
+
+    Keys ascend; each bucket is in lexicographic order.  ``weights`` is
+    1-based per index.
+    """
+    weight_of = (0, *weights).__getitem__  # 1-based
+    buckets: dict[int, list[tuple]] = {}
+    if 0 <= p <= n:
+        for idx in itertools.combinations(range(1, n + 1), p):
+            buckets.setdefault(sum(map(weight_of, idx)), []).append(idx)
+    return dict(sorted(buckets.items()))
+
+
 def lambda_basis(n: int, p: int, weights=None, weight: int | None = None) -> list[tuple]:
     """Strictly increasing p-tuples from 1..n, lexicographically ordered;
     optionally restricted to a fixed total weight."""
+    if weight is not None:
+        return monomials_by_weight(n, p, weights).get(weight, [])
     if p < 0 or p > n:
         return []
-    combos = itertools.combinations(range(1, n + 1), p)
-    if weight is None:
-        return list(combos)
-    return [idx for idx in combos if sum(weights[i - 1] for i in idx) == weight]
-
-
-def monomial_weight(idx: tuple, weights) -> int:
-    return sum(weights[i - 1] for i in idx)
-
-
-def form_vector(phi: Form) -> Vec:
-    """Form as a sparse vector keyed by its monomials (lex-comparable keys)."""
-    return dict(phi.coeffs)
-
-
-def vector_form(degree: int, v: Vec) -> Form:
-    return Form(degree, dict(v))
+    return list(itertools.combinations(range(1, n + 1), p))
 
 
 def d_matrix(a: LieAlgebra, source: list[tuple], target: list[tuple]) -> Matrix:
@@ -239,8 +243,7 @@ def d_matrix(a: LieAlgebra, source: list[tuple], target: list[tuple]) -> Matrix:
     pos = {idx: r for r, idx in enumerate(target)}
     entries = {}
     for c, idx in enumerate(source):
-        img = differential(a, Form.monomial(idx))
-        for m, val in img.coeffs.items():
+        for m, val in d_monomial(a, idx).items():
             r = pos.get(m)
             if r is None:
                 continue
@@ -265,28 +268,21 @@ class CohomologyBlock:
         return list(self.representatives)
 
 
-def _block(a: LieAlgebra, p: int, weight: int | None) -> list[Form]:
-    n = a.dim
-    w = a.weights
-    src = lambda_basis(n, p, w, weight)
+def _block(a: LieAlgebra, p: int, src: list[tuple], tgt: list[tuple],
+           below: list[tuple]) -> list[Form]:
+    """Canonical H^p representatives over the degree-p monomials src; tgt
+    and below are the degree p+1 and p-1 monomials of the same block."""
     if not src:
         return []
     if p == 0:
         # constants: d = 0, no coboundaries
-        return [Form(0, {(): 1})] if weight in (None, 0) else []
-    tgt = lambda_basis(n, p + 1, w, weight)
+        return [Form(0, {(): 1})]
     kern = kernel_basis(d_matrix(a, src, tgt))
     cocycles = [{src[c]: v for c, v in vec.items()} for vec in kern]
-    below = lambda_basis(n, p - 1, w, weight)
-    images = []
-    for idx in below:
-        img = differential(a, Form.monomial(idx))
-        if img:
-            images.append(form_vector(img))
-    bound = Subspace.span(images)
+    bound = Subspace.span([img for img in (d_monomial(a, idx) for idx in below) if img])
     reduced = [bound.reduce(v) for v in cocycles]
     _, rows = rref([r for r in reduced if r])
-    return [vector_form(p, r) for r in rows]
+    return [Form(p, r) for r in rows]
 
 
 def cohomology(a: LieAlgebra, p: int, weight: int | None = None,
@@ -302,15 +298,15 @@ def cohomology(a: LieAlgebra, p: int, weight: int | None = None,
         raise ValueError(f"degree {p} outside 0..{a.dim}")
     if weight is not None and a.weights is None:
         raise WeightsMissing("weight restriction requires a graded algebra")
-    if weight is not None or a.weights is None or blocked is False:
-        reps = _block(a, p, weight)
-        return CohomologyBlock(p, weight, tuple(reps), len(reps))
+    degrees = (p, p + 1, p - 1)
+    if weight is None and (a.weights is None or blocked is False):
+        reps = _block(a, p, *(lambda_basis(a.dim, q) for q in degrees))
+        return CohomologyBlock(p, None, tuple(reps), len(reps))
+    src, tgt, below = (monomials_by_weight(a.dim, q, a.weights) for q in degrees)
     reps = []
-    weights_seen = sorted({monomial_weight(idx, a.weights)
-                           for idx in lambda_basis(a.dim, p)}) if p else [0]
-    for w in weights_seen:
-        reps.extend(_block(a, p, w))
-    return CohomologyBlock(p, None, tuple(reps), len(reps))
+    for w in (src if weight is None else [weight]):
+        reps.extend(_block(a, p, src.get(w, []), tgt.get(w, []), below.get(w, [])))
+    return CohomologyBlock(p, weight, tuple(reps), len(reps))
 
 
 def coboundary_space(a: LieAlgebra, p: int, weight: int | None = None) -> list[Form]:
@@ -318,9 +314,9 @@ def coboundary_space(a: LieAlgebra, p: int, weight: int | None = None) -> list[F
     if weight is not None and a.weights is None:
         raise WeightsMissing("weight restriction requires a graded algebra")
     below = lambda_basis(a.dim, p - 1, a.weights, weight)
-    images = [form_vector(differential(a, Form.monomial(idx))) for idx in below]
+    images = [d_monomial(a, idx) for idx in below]
     _, rows = rref([v for v in images if v])
-    return [vector_form(p, r) for r in rows]
+    return [Form(p, r) for r in rows]
 
 
 def is_cohomologous(a: LieAlgebra, f: Form, g: Form) -> bool:
@@ -333,8 +329,8 @@ def is_cohomologous(a: LieAlgebra, f: Form, g: Form) -> bool:
     diff = f.sub(g)
     if diff.is_zero():
         return True
-    gens = [form_vector(b) for b in coboundary_space(a, f.degree)]
-    return solve_in_span(form_vector(diff), gens) is not None
+    gens = [b.coeffs for b in coboundary_space(a, f.degree)]
+    return solve_in_span(diff.coeffs, gens) is not None
 
 
 def betti_numbers(a: LieAlgebra, blocked: bool | None = None) -> list[int]:

@@ -17,6 +17,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import (SpanSolver, Subspace, Vec, kernel_of_rows, vec_add, vec_axpy,
                      vec_scale, vec_sub)
@@ -111,6 +112,14 @@ class LieAlgebra:
         for (i, j), comps in sorted(self.brackets.items()):
             for k, c in sorted(comps.items()):
                 yield i, j, k, c
+
+    @cached_property
+    def dual_table(self) -> list[dict]:
+        """d e^k = sum c_ij^k e^i ^ e^j as {(i, j): c_ij^k}, at index k - 1."""
+        out = [dict() for _ in range(self.dim)]
+        for i, j, k, c in self.structure_terms():
+            out[k - 1][(i, j)] = c
+        return out
 
     # -- parameters -----------------------------------------------------------
 
@@ -230,8 +239,12 @@ def nil_index(a: LieAlgebra) -> int:
 
 
 def is_filiform(a: LieAlgebra) -> bool:
-    series = central_series(a)
-    return series[-1].dim == 0 and len(series) - 1 == a.dim - 1
+    return _is_filiform_series(central_series(a), a.dim)
+
+
+def _is_filiform_series(series: list[Subspace], dim: int) -> bool:
+    """Whether a central series reaches zero with nil-index dim - 1."""
+    return series[-1].dim == 0 and len(series) - 1 == dim - 1
 
 
 def center(a: LieAlgebra) -> Subspace:
@@ -357,12 +370,12 @@ def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
     with a bounded fallback sweep otherwise.
     """
     n = a.dim
-    if not is_filiform(a):
+    series = central_series(a)
+    if not _is_filiform_series(series, n):
         raise NotFiliform(f"nil-index != dim-1 for dim {n}")
     if n <= 2:
         vecs = [{i: as_scalar(1)} for i in range(1, n + 1)]
         return AdaptedBasis(tuple(vecs), a, as_scalar(0))
-    series = central_series(a)
     c2 = series[1]
 
     t_space = centralizer(a, series[n - 3]) if n >= 4 else center(a)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
+from math import prod
 
 from .scalars import as_scalar, pivot_complexity
 
@@ -116,7 +117,8 @@ class Matrix:
 def _eliminate(rows: list[Vec], tags: list[Vec]):
     """``rref`` of rows, applying each row operation to the tags as well.
 
-    Returns (pivots ascending, rows, tags); zero rows drop with their tags.
+    Returns (pivots ascending, rows, tags, divisors); zero rows drop with
+    their tags, and divisors[s] is the entry pivot row s was divided by.
     """
     work = [dict(r) for r in rows]
     wtags = [dict(t) for t in tags]
@@ -134,6 +136,7 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
         if r:
             put(i)
     order = []
+    divisors = []
     while heap:
         col = heappop(heap)
         bucket = buckets.pop(col)
@@ -142,6 +145,7 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
         else:
             best = min(bucket, key=lambda i: (pivot_complexity(work[i][col]), i))
         row, tag = work[best], wtags[best]
+        divisors.append(row[col])
         if row[col] != 1:
             inv = 1 / row[col]
             row, tag = vec_scale(row, inv), vec_scale(tag, inv)
@@ -163,7 +167,7 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
             vec_axpy_into(tag, -c, done[k][1])
         done[col] = (row, tag)
     pivots = [col for col, _, _ in order]
-    return pivots, [done[c][0] for c in pivots], [done[c][1] for c in pivots]
+    return pivots, [done[c][0] for c in pivots], [done[c][1] for c in pivots], divisors
 
 
 def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
@@ -178,7 +182,7 @@ def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     the entry of smallest bit-size wins (ties by input order), which keeps
     intermediate fractions short without affecting the result.
     """
-    pivots, out, _ = _eliminate(rows, [{}] * len(rows))
+    pivots, out, _, _ = _eliminate(rows, [{}] * len(rows))
     return pivots, out
 
 
@@ -227,7 +231,7 @@ class SpanSolver:
 
     def __init__(self, generators: list[Vec]):
         self.n = len(generators)
-        pivots, rows, tags = _eliminate(
+        pivots, rows, tags, _ = _eliminate(
             generators, [{i: _ONE} for i in range(self.n)])
         self._index = dict(zip(pivots, rows))
         self._tags = dict(zip(pivots, tags))  # pivot row as a generator combination
@@ -303,63 +307,25 @@ class Subspace:
 def rank_drop_candidates(m: Matrix) -> list:
     """Rational parameter values where the rank of a RatFunc matrix may drop.
 
-    The rank is below the generic value r exactly where every r x r minor
-    vanishes, so the candidates are the rational roots of the gcd of the
-    minor numerators (plus the poles of the entries, where the matrix itself
-    is undefined).  Exhaustive over Q; each candidate still needs a direct
-    check at the specialized value.
+    One elimination over Q(t) gives the generic rank r and the entries
+    d_1..d_r that the pivot rows are divided by.  Each pivot row is an input
+    row plus multiples of earlier pivot rows, and before its division it
+    vanishes at every earlier pivot column, so d_1 * ... * d_r = +-det of
+    the r x r minor on the pivot rows and pivot columns.  At a value t0
+    that is no pole of an entry, that minor is a polynomial in finite
+    entries; if t0 is also no root of the product's numerator, the minor
+    is nonzero there and the rank at t0 is still r (it never exceeds the
+    generic rank).  So those roots plus the poles of the entries are a
+    sound superset of the values where the rank drops; each candidate
+    still needs a direct check at the specialized value.
     """
-    from itertools import combinations
-
     from .scalars import Poly, RatFunc, rational_roots
 
-    r = rank(m)
-    rows = m.row_list()
     poles: set = set()
     for v in m.entries.values():
         if isinstance(v, RatFunc) and v.den.degree > 0:
             poles.update(rational_roots(v.den))
-    if r == 0:
-        return sorted(poles)
-    live_rows = [i for i in range(m.rows) if rows[i]]
-    live_cols = sorted({c for row in rows for c in row})
-    gcd = Poly([])
-    for rsel in combinations(live_rows, r):
-        for csel in combinations(live_cols, r):
-            minor = _det([[rows[i].get(c, as_scalar(0)) for c in csel] for i in rsel])
-            num = minor.num if isinstance(minor, RatFunc) else Poly([minor])
-            if num.is_zero():
-                continue
-            gcd = num.monic() if gcd.is_zero() else gcd.gcd(num)
-            if gcd.degree == 0:
-                return sorted(poles)
-    if gcd.is_zero():
-        # all r-minors vanish identically; generic rank computation disagrees
-        raise AssertionError("generic rank does not match minor ranks")
-    return sorted(set(rational_roots(gcd)) | poles)
-
-
-def _det(rows: list[list]):
-    """Determinant by fraction-free-ish elimination over a field."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = as_scalar(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return as_scalar(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                for cc in range(c, n):
-                    rows[r][cc] = rows[r][cc] - f * rows[c][cc]
-    return det
+    *_, divisors = _eliminate(m.row_list(), [{}] * m.rows)
+    minor = prod(divisors, start=_ONE)
+    num = minor.num if isinstance(minor, RatFunc) else Poly([minor])
+    return sorted(set(rational_roots(num)) | poles)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .cochain import Form, cohomology, differential, lambda_basis
+from .cochain import Form, cohomology, d_monomial, differential, monomials_by_weight
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
 from .linalg import (Matrix, SpanSolver, Subspace, kernel_basis, vec_axpy_into,
                      vec_combination)
@@ -95,26 +95,23 @@ class _PageComputer:
         self.bases: dict[int, list[tuple]] = {}
         self.weights: dict[int, list[int]] = {}
         for p in range(n + 2):
-            basis = sorted(lambda_basis(n, p), key=lambda idx: (sum(idx), idx))
-            self.bases[p] = basis
-            self.weights[p] = [sum(idx) for idx in basis]
-        self._d_image: dict[tuple, Form] = {}
+            # the (weight, idx) order: buckets in ascending weight
+            buckets = monomials_by_weight(n, p, range(1, n + 1))
+            self.bases[p] = [idx for bucket in buckets.values() for idx in bucket]
+            self.weights[p] = [w for w, bucket in buckets.items() for _ in bucket]
+        self._d_image: dict[tuple, dict] = {}
         self._z_cache: dict[tuple, list] = {}
         self._pairings: dict[int, dict] = {}
 
-    def d_of(self, idx: tuple) -> Form:
+    def d_of(self, idx: tuple) -> dict:
         out = self._d_image.get(idx)
         if out is None:
-            out = differential(self.algebra, Form.monomial(idx))
-            self._d_image[idx] = out
+            out = self._d_image[idx] = d_monomial(self.algebra, idx)
         return out
 
     def d_vec(self, vec: dict) -> dict:
         """d of a monomial-keyed vector."""
-        img: dict = {}
-        for idx, c in vec.items():
-            vec_axpy_into(img, c, self.d_of(idx).coeffs)
-        return img
+        return vec_combination(vec.values(), map(self.d_of, vec))
 
     def pairing(self, p: int) -> dict:
         """Persistence pairing of d: L^p -> L^{p+1}: {paired monomial: gap}.
@@ -136,7 +133,7 @@ class _PageComputer:
         for idx, w in zip(self.bases[p], self.weights[p]):
             if idx in cleared:
                 continue
-            col = {pos[m]: c for m, c in self.d_of(idx).coeffs.items()}
+            col = {pos[m]: c for m, c in self.d_of(idx).items()}
             while col:
                 low = max(col)
                 other = by_low.get(low)
@@ -170,7 +167,7 @@ class _PageComputer:
         pos = {idx: i for i, idx in enumerate(tgt)}
         entries = {}
         for c, idx in enumerate(src):
-            for m, val in self.d_of(idx).coeffs.items():
+            for m, val in self.d_of(idx).items():
                 row = pos.get(m)
                 if row is not None:
                     entries[(row, c)] = val
@@ -437,7 +434,6 @@ def h3_weight_profile(a: LieAlgebra) -> list[int]:
     """Weights (with multiplicity) of the homogeneous generators of H^3."""
     if a.weights is None:
         raise ValueError("weight profile needs a graded algebra")
-    out = []
-    for w in sorted({sum(a.weights[i - 1] for i in idx) for idx in lambda_basis(a.dim, 3)}):
-        out.extend([w] * cohomology(a, 3, weight=w).dim)
-    return out
+    # each representative lies in one weight block, in ascending weight
+    return [sum(a.weights[i - 1] for i in next(iter(f.coeffs)))
+            for f in cohomology(a, 3).representatives]

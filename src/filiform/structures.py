@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochain import Form, _merge_sign, differential, lambda_basis
+from .cochain import Form, _merge_sign, d_monomial, differential, lambda_basis
 from .extensions import ExtensionCocycle, central_extension
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis, gr_l, is_filiform
 from .linalg import kernel_basis, vec_combination
@@ -342,7 +342,7 @@ def contact_exists(a: LieAlgebra) -> ContactCertificate | None:
     # symbolic expansion over MPoly coefficients
     dbeta: dict[tuple, MPoly] = {}
     for i in range(1, n + 1):
-        for idx, c in differential(a, Form.monomial((i,))).coeffs.items():
+        for idx, c in d_monomial(a, (i,)).items():
             cur = dbeta.get(idx, MPoly.const(n, 0))
             dbeta[idx] = cur + MPoly.var(n, i - 1) * MPoly.const(n, c)
     power = _poly_wedge_power(dbeta, k) if dbeta else {}

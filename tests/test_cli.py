@@ -161,9 +161,14 @@ def _short_weights(doc):
     doc["weights"] = doc["weights"][:-1]
 
 
+def _broken_jacobi(doc):
+    doc["brackets"].append([2, 3, [[4, "1"]]])
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_zero_denominator, "zero denominator"),
     (_short_weights, "5 weights for dimension 6"),
+    (_broken_jacobi, "Jacobi identity fails"),
 ])
 def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
     from filiform import catalog
@@ -176,6 +181,10 @@ def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
         code = main([argv[0], str(path)] + argv[1:])
         captured = capsys.readouterr()
         assert code == 1, argv
+        if corrupt is _broken_jacobi and argv == ["check"]:
+            # check loads unchecked and reports the violations itself
+            assert not json.loads(captured.out)["result"]["jacobi_ok"]
+            continue
         assert captured.err.startswith("error: cannot read algebra")
         assert reason in captured.err
         assert "Traceback" not in captured.out + captured.err

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filiform import catalog
-from filiform.cochain import (Form, NotCocycle, WeightsMissing, betti_numbers,
-                              coboundary_space, cohomology, d_squared_zero,
-                              differential, is_cohomologous, lambda_basis)
+from filiform.cochain import (Form, NotCocycle, WeightsMissing, _merge_sign,
+                              betti_numbers, coboundary_space, cohomology,
+                              d_squared_zero, differential, is_cohomologous,
+                              lambda_basis, monomials_by_weight)
 from filiform.lie import LieAlgebra, abelian, jacobi_check
 
 
@@ -78,6 +79,72 @@ def test_deformation_23_top_cocycle_differential():
     # and the other weight-11 generator stays closed up to weight drop
     d_top = differential(a, F(2, [[[1, 10], "1"]]))
     assert d_top == F(3, [[[1, 2, 6], "-1"]])
+
+
+def reference_differential(a, phi):
+    """Leibniz over wedge products with a validating Form per de^k."""
+    table = [dict() for _ in range(a.dim)]
+    for i, j, k, c in a.structure_terms():
+        table[k - 1][(i, j)] = c
+    de = [Form(2, d) for d in table]
+    out = {}
+    for idx, c in phi.coeffs.items():
+        for t, i_t in enumerate(idx):
+            two = de[i_t - 1]
+            if not two.coeffs:
+                continue
+            rest = idx[:t] + idx[t + 1:]
+            sgn_t = -1 if t % 2 else 1
+            for pair, b in two.coeffs.items():
+                merged = _merge_sign(pair + rest)
+                if merged is None:
+                    continue
+                new_idx, sign = merged
+                s = out.get(new_idx, 0) + sign * sgn_t * c * b
+                if s:
+                    out[new_idx] = s
+                else:
+                    out.pop(new_idx, None)
+    return Form(phi.degree + 1, out)
+
+
+ORACLE_ALGEBRAS = [
+    ("abelian", {"n": 4}), ("m0", {"n": 7}), ("m1", {"n": 8}), ("m2", {"n": 7}),
+    ("V", {"n": 9}), ("m01", {"n": 7}), ("m02", {"n": 8}), ("m03", {"n": 9}),
+    ("m03", {"n": 9, "variant": "section5"}), ("g7", {"alpha": -2}),
+    ("g8", {"alpha": Fraction(-5, 2)}), ("g9", {"alpha": 2}), ("g10", {"alpha": 0}),
+    ("g11", {"alpha": 8}), ("heisenberg", {"n": 5}),
+    ("deformation_23", {"alphas": (1, 2, 3)}),
+    ("deformation_21", {"n": 8, "alphas": (1,)}),
+    ("abelian_commutant", {"n": 9, "t": 1, "alphas": (2,)}),
+]
+
+
+# params None: the symbolic family over Q(alpha)
+@pytest.mark.parametrize("name, params", ORACLE_ALGEBRAS + [("g11", None)])
+def test_differential_matches_reference(name, params):
+    a = catalog.family_symbolic(name) if params is None else catalog.build(name, **params)
+    rng = random.Random(name)
+    for p in range(a.dim + 1):
+        monos = lambda_basis(a.dim, p)
+        for _ in range(3):
+            picks = rng.sample(monos, min(len(monos), 6))
+            phi = Form(p, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for idx in picks})
+            assert differential(a, phi) == reference_differential(a, phi), (p, phi)
+
+
+def test_monomials_by_weight_matches_filter():
+    rng = random.Random(5)
+    for n in range(1, 11):
+        for weights in (range(1, n + 1), [rng.randint(-2, 4) for _ in range(n)]):
+            for p in range(-1, n + 2):
+                combos = list(itertools.combinations(range(1, n + 1), p)) if p >= 0 else []
+                seen = sorted({sum(weights[i - 1] for i in idx) for idx in combos})
+                expected = {w: [idx for idx in combos
+                                if sum(weights[i - 1] for i in idx) == w] for w in seen}
+                got = monomials_by_weight(n, p, weights)
+                assert got == expected and list(got) == seen, (n, p, list(weights))
 
 
 def test_d_squared_zero_iff_jacobi():

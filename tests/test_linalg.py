@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from filiform.linalg import (Matrix, SpanSolver, Subspace, kernel_basis, rank,
                              rank_drop_candidates, rref, solve_in_span, vec_axpy)
-from filiform.scalars import RatFunc
+from filiform.scalars import RatFunc, scalar_at
 
 
 def dense(m: Matrix):
@@ -246,3 +246,27 @@ def test_rank_drop_candidates_over_parameter_field():
     m = Matrix(2, 2, {(0, 0): t - 3, (0, 1): (t - 3) * (t + 1), (1, 0): 0, (1, 1): t + 1})
     cands = rank_drop_candidates(m)
     assert Fraction(3) in cands and Fraction(-1) in cands
+
+
+ROOTS = [Fraction(x) for x in (-2, -1, 0, 1, 3)] + [Fraction(1, 2), Fraction(-3, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_rank_drop_candidates_contain_every_drop(rows, cols, data):
+    # entries c * (t - a) * (t - b) or constants, so ranks drop at chosen roots
+    t = RatFunc.t()
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            coeff = data.draw(st.integers(-2, 2))
+            for _ in range(data.draw(st.integers(0, 2))):
+                coeff = coeff * (t - data.draw(st.sampled_from(ROOTS)))
+            entries[(r, c)] = coeff
+    m = Matrix(rows, cols, entries)
+    generic = rank(m)
+    cands = rank_drop_candidates(m)
+    for t0 in ROOTS + [Fraction(5), Fraction(-1, 3)]:
+        at = Matrix(rows, cols, {k: scalar_at(v, t0) for k, v in m.entries.items()})
+        if rank(at) < generic:
+            assert t0 in cands, (t0, cands)

@@ -20,7 +20,8 @@ import sys
 from . import catalog
 from .cochain import cohomology, d_squared_zero
 from .extensions import enumerate_graded_filiform
-from .lie import LieAlgebra, adapted_basis, central_series, is_filiform, jacobi_check
+from .lie import (LieAlgebra, adapted_basis, central_series, grading_violations,
+                  is_filiform, jacobi_check)
 from .scalars import format_rat, rat
 from .spectral import degree_totals, page_dimensions, symplectic_survival
 from .structures import contact_exists, symplectic_exists
@@ -32,7 +33,8 @@ class InputError(Exception):
 
 def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
     """Parse an algebra document; unless check is False, reject one whose
-    d^2 != 0 (the Jacobi identity fails), since no verdict on it holds."""
+    d^2 != 0 (the Jacobi identity fails) or whose weights break the grading,
+    since no verdict on it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -45,8 +47,17 @@ def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
     if check and not d_squared_zero(algebra):
         raise InputError(f"cannot read algebra from {path}: "
                          "Jacobi identity fails (d^2 != 0)")
+    ungraded = _grading_violations(algebra) if check else []
+    if ungraded:
+        i, j, k = ungraded[0]
+        raise InputError(f"cannot read algebra from {path}: weights break the "
+                         f"grading at (i, j, k) = ({i}, {j}, {k})")
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
     return algebra, digest
+
+
+def _grading_violations(a: LieAlgebra) -> list:
+    return grading_violations(a) if a.weights is not None else []
 
 
 def _emit(report: dict, human: str | None = None) -> None:
@@ -66,8 +77,10 @@ def _form_pairs(form) -> list:
 def cmd_check(args) -> int:
     a, digest = _load_algebra(args.algebra, check=False)
     bad = jacobi_check(a)
+    ungraded = _grading_violations(a)
     series = central_series(a)
-    graded_1n = a.weights is not None and sorted(a.weights) == list(range(1, a.dim + 1))
+    graded_1n = (a.weights is not None and not ungraded
+                 and sorted(a.weights) == list(range(1, a.dim + 1)))
     report = {
         "command": "check",
         "input": digest,
@@ -79,10 +92,11 @@ def cmd_check(args) -> int:
             "filiform": not bad and is_filiform(a),
             "central_series_dims": [s.dim for s in series],
             "n_graded_weights_1_to_n": graded_1n,
+            "grading_violations": [list(v) for v in ungraded[:10]],
         },
     }
     _emit(report)
-    return 0 if not bad else 1
+    return 0 if not bad and not ungraded else 1
 
 
 def cmd_cohomology(args) -> int:

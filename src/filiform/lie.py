@@ -152,6 +152,8 @@ class LieAlgebra:
         weights = doc.get("weights")
         if weights is not None and len(weights) != int(doc["dim"]):
             raise ValueError(f"{len(weights)} weights for dimension {doc['dim']}")
+        if weights is not None and not all(type(w) is int for w in weights):
+            raise ValueError("weights must be integers")
         a = LieAlgebra(int(doc["dim"]), table, weights=weights)
         if check:
             bad = jacobi_check(a)

@@ -255,6 +255,45 @@ def solve_in_span(target: Vec, generators: list[Vec]) -> list | None:
     return SpanSolver(generators).solve(target)
 
 
+def pfaffian(n: int, entries: dict):
+    """Pfaffian of the skew n x n matrix A with A[i][j] = c for {(i, j): c}.
+
+    Keys are 1-based with i < j, so a 2-form's coefficients give its top
+    power: phi^(n/2) = (n/2)! * pfaffian(n, phi.coeffs) e^1 ^ ... ^ e^n.
+    Signed sparse skew elimination: the first live index i is paired with
+    its first partner j; moving j next to i past q live indices costs
+    (-1)^q, and then Pf(A) = A[i][j] * Pf(S) for the Schur complement
+    S[k][l] = A[k][l] + (A[j][k] A[i][l] - A[i][k] A[j][l]) / A[i][j]
+    on the other live indices.
+    """
+    rows: dict = {r: {} for r in range(1, n + 1)}
+    for (i, j), c in entries.items():
+        c = as_scalar(c)
+        if c:
+            rows[i][j] = c
+            rows[j][i] = -c
+    live = list(range(1, n + 1))
+    pf = _ONE
+    while live:
+        i = live.pop(0)
+        ri = rows.pop(i)
+        if not ri:
+            return as_scalar(0)
+        j = min(ri)
+        q = live.index(j)
+        del live[q]
+        rj = rows.pop(j)
+        p = ri[j]
+        pf = -p * pf if q % 2 else p * pf
+        for k in (ri.keys() | rj.keys()) - {i, j}:
+            # columns i and j of row k cancel exactly
+            if k in rj:
+                vec_axpy_into(rows[k], rj[k] / p, ri)
+            if k in ri:
+                vec_axpy_into(rows[k], -ri[k] / p, rj)
+    return pf
+
+
 # ---------------------------------------------------------------------------
 # subspaces as canonical RREF row sets
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ import math
 from dataclasses import dataclass
 from .cochain import Form, cohomology, d_monomial, differential, monomials_by_weight
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
-from .linalg import (Matrix, SpanSolver, Subspace, kernel_basis, vec_axpy_into,
-                     vec_combination)
+from .linalg import (Matrix, SpanSolver, Subspace, kernel_basis, pfaffian,
+                     vec_axpy_into, vec_combination)
 
 
 class FiltrationUndefined(ValueError):
@@ -343,26 +343,19 @@ def symplectic_survival(a: LieAlgebra,
     comp = _PageComputer(b)
     top = 2 * k + 1
     closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
-    k_power = k
 
-    def leading(vec: dict) -> Form:
-        return Form(2, {idx: c for idx, c in vec.items() if sum(idx) == top})
+    def leading(vec: dict) -> dict:
+        return {idx: c for idx, c in vec.items() if sum(idx) == top}
 
     lifts = [v for v in closed if leading(v)]
     if lifts:
-        from .structures import _witness_points, wedge_power
-        for point in _witness_points(len(lifts)):
-            combo = vec_combination(point, lifts)
-            lead = leading(combo)
-            if lead and not wedge_power(b, lead, k_power).is_zero():
-                lift = Form(2, combo)
-                if differential(b, lift) or wedge_power(b, lift, k_power).is_zero():
-                    raise AssertionError("survival lift failed to verify")
-                return SurvivalVerdict(True, lift, surviving_dim=len(lifts))
-        # deterministic exact sweep over the surviving subspace
-        sym = _symplectic_point_in_leading_span(b, lifts, leading, k_power)
-        if sym is not None:
-            return SurvivalVerdict(True, sym, surviving_dim=len(lifts))
+        from .structures import nondegenerate_point
+        point = nondegenerate_point(n, [leading(v) for v in lifts])
+        if point is not None:
+            lift = Form(2, vec_combination(point, lifts))
+            if differential(b, lift) or not pfaffian(n, lift.coeffs):
+                raise AssertionError("survival lift failed to verify")
+            return SurvivalVerdict(True, lift, surviving_dim=len(lifts))
 
     # obstructed: the first nonzero differential out of the corner; corner
     # monomials pair only as columns of d on 2-forms (1-forms weigh <= 2k)
@@ -384,32 +377,6 @@ def symplectic_survival(a: LieAlgebra,
         obstruction_page=r,
         obstruction_source=Form(2, reps[col]),
         obstruction_image=Form(3, image))
-
-
-def _symplectic_point_in_leading_span(b, lifts, leading, k_power):
-    from .scalars import MPoly
-    from .structures import _poly_wedge_power, wedge_power
-    m = len(lifts)
-    acc: dict[tuple, MPoly] = {}
-    for i, vec in enumerate(lifts):
-        ti = MPoly.var(m, i)
-        for idx, c in leading(vec).coeffs.items():
-            cur = acc.get(idx, MPoly.const(m, 0))
-            acc[idx] = cur + ti * MPoly.const(m, c)
-    if not acc:
-        return None
-    power = _poly_wedge_power(acc, k_power)
-    point = None
-    for poly in power.values():
-        point = poly.any_nonvanishing_point()
-        if point:
-            break
-    if point is None:
-        return None
-    lift = Form(2, vec_combination(point, lifts))
-    if differential(b, lift) or wedge_power(b, lift, k_power).is_zero():
-        raise AssertionError("survival lift failed to verify")
-    return lift
 
 
 def canonical_block_representative(a: LieAlgebra, r: int, w: int, p: int,

@@ -2,7 +2,10 @@
 
 A 2-form omega on a 2k-dimensional algebra is symplectic when it is closed
 and omega^k != 0; a 1-form beta on a (2k+1)-dimensional algebra is contact
-when beta ^ (d beta)^k != 0.  Both conditions are decided exactly.
+when beta ^ (d beta)^k != 0.  Both conditions are one Pfaffian: omega^k is
+k! Pf(omega) e^1^...^e^2k, and beta ^ (d beta)^k is k! Pf of d beta bordered
+by beta as row and column 2k+2, since the top power of the 2-form
+d beta + beta ^ e^{2k+2} is (k+1) beta ^ (d beta)^k ^ e^{2k+2}.
 
 Existence questions run through two routes:
 
@@ -11,25 +14,26 @@ Existence questions run through two routes:
   top weight 2k+1, and that class must survive the deformation (decided by
   lifting against the adapted filtration; see :mod:`filiform.spectral`);
 
-* the generic route parameterizes candidates over a basis of closed forms
-  and decides non-vanishing of the top-power polynomial exactly: a witness
-  point is searched first, and the polynomial itself is expanded over
-  multivariate rationals as the nonexistence certificate, with a bounded
-  deterministic grid sweep as a fallback (a nonzero polynomial of
-  per-variable degree <= d cannot vanish on the whole grid {0..d}^m).
+* the generic route asks whether some member of a linear pencil of 2-forms
+  is nondegenerate, in one search (``nondegenerate_point``): a few witness
+  points are each decided by a Pfaffian, and then the top coefficient of
+  the pencil's top power is expanded once over multivariate rationals as
+  the nonexistence certificate, holding at most FILIFORM_MAX_GRID terms.
+  Symplectic forms are searched in the pencil of closed 2-forms, contact
+  forms in the bordered pencil d e^i + e^i ^ e^{n+1}.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .cochain import Form, _merge_sign, d_monomial, differential, lambda_basis
 from .extensions import ExtensionCocycle, central_extension
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis, gr_l, is_filiform
-from .linalg import kernel_basis, vec_combination
+from .linalg import kernel_basis, pfaffian, vec_combination
 from .scalars import MPoly, as_scalar
 
 
@@ -69,7 +73,7 @@ def is_symplectic_form(a: LieAlgebra, phi: Form) -> bool:
         raise ValueError("symplectic candidates have degree 2")
     if differential(a, phi):
         return False
-    return not wedge_power(a, phi, a.dim // 2).is_zero()
+    return bool(pfaffian(a.dim, phi.coeffs))
 
 
 def contact_check(a: LieAlgebra, beta: Form) -> "ContactCertificate":
@@ -78,9 +82,15 @@ def contact_check(a: LieAlgebra, beta: Form) -> "ContactCertificate":
         raise EvenDimension("contact forms need odd dimension")
     if beta.degree != 1:
         raise ValueError("contact candidates have degree 1")
-    k = (a.dim - 1) // 2
-    volume = beta.wedge(wedge_power(a, differential(a, beta), k))
-    return ContactCertificate(beta, volume, not volume.is_zero())
+    n = a.dim
+    bordered = dict(differential(a, beta).coeffs)
+    bordered.update({(i, n + 1): c for (i,), c in beta.coeffs.items()})
+    vol = factorial(n // 2) * pfaffian(n + 1, bordered)
+    return ContactCertificate(beta, _volume_form(n, vol), bool(vol))
+
+
+def _volume_form(n: int, c) -> Form:
+    return Form(n, {tuple(range(1, n + 1)): c})
 
 
 @dataclass(frozen=True)
@@ -105,7 +115,7 @@ class SymplecticCertificate:
 
 
 # ---------------------------------------------------------------------------
-# polynomial non-vanishing machinery
+# the pencil search
 # ---------------------------------------------------------------------------
 
 def _witness_points(m: int):
@@ -116,61 +126,43 @@ def _witness_points(m: int):
     yield tuple(Fraction((-2) ** (i % 3 + 1)) for i in range(m))
 
 
-def _symplectic_in_span(a: LieAlgebra, forms: list[Form]) -> Form | None:
-    """A symplectic combination of the given closed 2-forms, or None.
+def nondegenerate_point(n: int, vecs: list) -> tuple | None:
+    """A point t with Pf(sum t_i vecs_i) != 0, or None if there is none.
 
-    Witness points are tried first; if none hits, the top-power polynomial
-    P(t) = top coefficient of (sum t_i phi_i)^k is expanded exactly, so a
-    None answer certifies that no combination is non-degenerate over any
-    field extension of Q.  When the symbolic expansion would be too large
-    the deterministic sweep over {0..k}^m takes over (bounded by
-    FILIFORM_MAX_GRID); a nonzero polynomial of per-variable degree <= k
-    cannot vanish on that whole grid.
+    vecs are the coefficients {(i, j): c} of 2-forms on n = 2k coordinates.
+    The witness points are tried first, each decided by one Pfaffian; if
+    none hits, the top coefficient P(t) of (sum t_i phi_i)^k is expanded
+    exactly, so a None answer certifies that P is the zero polynomial and no
+    member of the pencil is nondegenerate over any field extension of Q.
     """
-    if not forms:
-        return None
-    k = a.dim // 2
-    m = len(forms)
-    vecs = [f.coeffs for f in forms]
+    m = len(vecs)
     for point in _witness_points(m):
-        cand = Form(2, vec_combination(point, vecs))
-        if not wedge_power(a, cand, k).is_zero():
-            return cand
-    from math import comb
-    if comb(m + k - 1, k) <= 200000:
-        acc: dict[tuple, MPoly] = {}
-        for i, f in enumerate(forms):
-            ti = MPoly.var(m, i)
-            for idx, c in f.coeffs.items():
-                cur = acc.get(idx, MPoly.const(m, 0))
-                acc[idx] = cur + ti * MPoly.const(m, c)
-        point = None
-        for poly in _poly_wedge_power(acc, k).values():
-            point = poly.any_nonvanishing_point()
-            if point:
-                break
-        if point is None:
-            return None
-    else:
-        if (k + 1) ** m > _max_grid():
-            raise RuntimeError(
-                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
-        point = None
-        for grid_point in itertools.product(range(k + 1), repeat=m):
-            cand = Form(2, vec_combination(grid_point, vecs))
-            if not wedge_power(a, cand, k).is_zero():
-                point = grid_point
-                break
-        if point is None:
-            return None
-    cand = Form(2, vec_combination(point, vecs))
-    if wedge_power(a, cand, k).is_zero():
+        if pfaffian(n, vec_combination(point, vecs)):
+            return point
+    acc: dict[tuple, MPoly] = {}
+    for i, vec in enumerate(vecs):
+        ti = MPoly.var(m, i)
+        for idx, c in vec.items():
+            acc[idx] = acc.get(idx, MPoly.const(m, 0)) + ti * MPoly.const(m, c)
+    top = _poly_wedge_power(acc, n // 2).get(tuple(range(1, n + 1)))
+    point = top.any_nonvanishing_point() if top else None
+    if point is not None and not pfaffian(n, vec_combination(point, vecs)):
         raise AssertionError("witness failed to verify")
-    return cand
+    return point
+
+
+def _symplectic_in_span(a: LieAlgebra, forms: list[Form]) -> Form | None:
+    """A symplectic combination of the given closed 2-forms, or None."""
+    vecs = [f.coeffs for f in forms]
+    point = nondegenerate_point(a.dim, vecs) if vecs else None
+    return None if point is None else Form(2, vec_combination(point, vecs))
 
 
 def _poly_wedge_power(coeffs: dict, k: int) -> dict:
-    """k-fold wedge of a form whose coefficients are MPoly values."""
+    """k-fold wedge of a form whose coefficients are MPoly values.
+
+    Holds at most FILIFORM_MAX_GRID polynomial terms in all.
+    """
     if not coeffs:
         return {}
     nvars = next(iter(coeffs.values())).nvars
@@ -189,6 +181,9 @@ def _poly_wedge_power(coeffs: dict, k: int) -> dict:
                 cur = nxt.get(idx)
                 nxt[idx] = term if cur is None else cur + term
         power = {idx: c for idx, c in nxt.items() if not c.is_zero()}
+        if sum(len(c.terms) for c in power.values()) > _max_grid():
+            raise RuntimeError(
+                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
     return power
 
 
@@ -220,10 +215,11 @@ def symplectic_exists(a: LieAlgebra) -> SymplecticCertificate:
 
 
 def _certify(a: LieAlgebra, omega: Form) -> SymplecticCertificate:
-    top = wedge_power(a, omega, a.dim // 2)
-    if differential(a, omega) or top.is_zero():
+    pf = pfaffian(a.dim, omega.coeffs)
+    if differential(a, omega) or not pf:
         raise AssertionError("certificate re-verification failed")
-    return SymplecticCertificate(True, omega, top)
+    return SymplecticCertificate(
+        True, omega, _volume_form(a.dim, factorial(a.dim // 2) * pf))
 
 
 def _symplectic_exists_generic(a: LieAlgebra) -> SymplecticCertificate:
@@ -326,47 +322,22 @@ def contactize(a: LieAlgebra, omega: Form) -> tuple[LieAlgebra, Form]:
 def contact_exists(a: LieAlgebra) -> ContactCertificate | None:
     """Search all 1-forms for a contact form; exact negative certificate.
 
-    The defining polynomial (the volume coefficient of beta ^ (d beta)^k in
-    the coefficients of beta) is expanded exactly; when it is the zero
-    polynomial no contact form exists over any field extension.
+    beta = sum t_i e^i is contact iff the bordered 2-form
+    sum t_i (d e^i + e^i ^ e^{n+1}) is nondegenerate, so this is the pencil
+    search one dimension up; None certifies that no contact form exists
+    over any field extension.
     """
     if a.dim % 2 == 0:
         raise EvenDimension("contact structures need odd dimension")
     n = a.dim
-    k = (n - 1) // 2
-    for point in _witness_points(n):
-        beta = Form(1, {(i + 1,): point[i] for i in range(n)})
-        cert = contact_check(a, beta)
-        if cert.valid:
-            return cert
-    # symbolic expansion over MPoly coefficients
-    dbeta: dict[tuple, MPoly] = {}
-    for i in range(1, n + 1):
-        for idx, c in d_monomial(a, (i,)).items():
-            cur = dbeta.get(idx, MPoly.const(n, 0))
-            dbeta[idx] = cur + MPoly.var(n, i - 1) * MPoly.const(n, c)
-    power = _poly_wedge_power(dbeta, k) if dbeta else {}
-    total: dict[tuple, MPoly] = {}
-    for i in range(1, n + 1):
-        ti = MPoly.var(n, i - 1)
-        for idx, c in power.items():
-            merged = _merge_sign((i,) + idx)
-            if merged is None:
-                continue
-            midx, sign = merged
-            term = ti * c
-            if sign < 0:
-                term = -term
-            cur = total.get(midx)
-            total[midx] = term if cur is None else cur + term
-    vol = total.get(tuple(range(1, n + 1)))
-    if vol is None or vol.is_zero():
+    pencil = [{**d_monomial(a, (i,)), (i, n + 1): Fraction(1)}
+              for i in range(1, n + 1)]
+    point = nondegenerate_point(n + 1, pencil)
+    if point is None:
         return None
-    point = vol.any_nonvanishing_point()
-    beta = Form(1, {(i + 1,): point[i] for i in range(n) if point[i]})
-    cert = contact_check(a, beta)
+    cert = contact_check(a, Form(1, {(i + 1,): point[i] for i in range(n)}))
     if not cert.valid:
-        raise AssertionError("symbolic contact witness failed to verify")
+        raise AssertionError("contact witness failed to verify")
     return cert
 
 

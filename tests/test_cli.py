@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from filiform import catalog
 from filiform.cli import main
 
 
@@ -161,14 +162,24 @@ def _short_weights(doc):
     doc["weights"] = doc["weights"][:-1]
 
 
+def _null_weight(doc):
+    doc["weights"][0] = None
+
+
 def _broken_jacobi(doc):
     doc["brackets"].append([2, 3, [[4, "1"]]])
+
+
+def _broken_grading(doc):
+    doc["weights"] = doc["weights"][::-1]
 
 
 @pytest.mark.parametrize("corrupt, reason", [
     (_zero_denominator, "zero denominator"),
     (_short_weights, "5 weights for dimension 6"),
+    (_null_weight, "weights must be integers"),
     (_broken_jacobi, "Jacobi identity fails"),
+    (_broken_grading, "weights break the grading at (i, j, k) = (1, 2, 3)"),
 ])
 def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
     from filiform import catalog
@@ -181,9 +192,14 @@ def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
         code = main([argv[0], str(path)] + argv[1:])
         captured = capsys.readouterr()
         assert code == 1, argv
-        if corrupt is _broken_jacobi and argv == ["check"]:
+        if corrupt in (_broken_jacobi, _broken_grading) and argv == ["check"]:
             # check loads unchecked and reports the violations itself
-            assert not json.loads(captured.out)["result"]["jacobi_ok"]
+            result = json.loads(captured.out)["result"]
+            if corrupt is _broken_jacobi:
+                assert not result["jacobi_ok"]
+            else:
+                assert result["grading_violations"][0] == [1, 2, 3]
+                assert not result["n_graded_weights_1_to_n"]
             continue
         assert captured.err.startswith("error: cannot read algebra")
         assert reason in captured.err
@@ -213,3 +229,26 @@ def test_undecided_search_is_input_error(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert captured.err.startswith("error: ") and reason in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+H5_R = {"dim": 6, "brackets": [[1, 2, [[5, "1"]]], [3, 4, [[5, "1"]]]]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("symplectic", H5_R),
+    ("contact", catalog.build("m0", n=7).to_dict()),
+])
+def test_search_bound_decides_or_exits_with_input_error(tmp_path, capsys, monkeypatch,
+                                                        command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.delenv("FILIFORM_MAX_GRID", raising=False)
+    code, out = run(capsys, command, str(path))
+    assert code == 0 and out["result"]["exists"] is False
+    # the negative certificate expands more than one term
+    monkeypatch.setenv("FILIFORM_MAX_GRID", "1")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "FILIFORM_MAX_GRID" in captured.err
+    assert "Traceback" not in captured.err

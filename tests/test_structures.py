@@ -1,13 +1,17 @@
 """Symplectic and contact structure detection and construction."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filiform import catalog
 from filiform.cochain import Form, differential
 from filiform.extensions import graded_isomorphic
 from filiform.lie import abelian
+from filiform.linalg import pfaffian
 from filiform.structures import (EvenDimension,
                                  NotSymplectic, OddDimension, contact_check,
                                  contact_exists, contactize,
@@ -37,6 +41,80 @@ def test_wedge_power_darboux():
     omega = Form(2, {(2 * i - 1, 2 * i): Fraction(1) for i in range(1, 5)})
     top = wedge_power(a, omega, 4)
     assert top == F(8, [[[1, 2, 3, 4, 5, 6, 7, 8], "24"]])  # k! * volume
+
+
+# -- Pfaffians against the wedge-power oracle ----------------------------------------
+
+COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def two_forms(draw):
+    """(n, phi), n even: sparse, dense, or singular with a common kernel vector."""
+    n = draw(st.sampled_from([2, 4, 6, 8, 10]))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    shape = draw(st.sampled_from(["sparse", "dense", "singular"]))
+    if shape == "sparse":
+        # a perfect matching in a drawn order, plus a few more entries
+        order = draw(st.permutations(range(1, n + 1)))
+        phi = {tuple(sorted(order[t:t + 2])): draw(COEFF.filter(bool))
+               for t in range(0, n, 2)}
+        phi.update({ij: draw(COEFF) for ij in pairs if draw(st.integers(0, 5)) == 0})
+        return n, Form(2, phi)
+    if shape == "dense":
+        return n, Form(2, {ij: draw(COEFF.filter(bool)) for ij in pairs})
+    # every factor annihilates v (v_piv = 1), so v lies in the kernel of phi
+    piv = draw(st.integers(1, n))
+    v = {i: Fraction(1) if i == piv else draw(COEFF) for i in range(1, n + 1)}
+
+    def factor():
+        alpha = {i: draw(COEFF) for i in range(1, n + 1)}
+        alpha[piv] -= sum(alpha[i] * v[i] for i in alpha)
+        return Form(1, {(i,): c for i, c in alpha.items()})
+
+    phi = Form.zero(2)
+    for _ in range(draw(st.integers(1, n // 2))):
+        phi = phi.add(factor().wedge(factor()))
+    return n, phi
+
+
+@settings(max_examples=120, deadline=None)
+@given(two_forms())
+def test_pfaffian_is_the_top_coefficient_of_the_wedge_power(drawn):
+    n, phi = drawn
+    top = wedge_power(abelian(n), phi, n // 2).coeffs.get(tuple(range(1, n + 1)), 0)
+    assert factorial(n // 2) * pfaffian(n, phi.coeffs) == top
+
+
+ALPHA = COEFF.filter(lambda x: x not in (Fraction(-5, 2), -1, -3))
+
+
+@st.composite
+def contact_candidates(draw):
+    """(odd-dimensional catalog algebra, random 1-form beta)."""
+    name = draw(st.sampled_from(["m0", "V", "g7", "g9", "g11"]))
+    if name in ("m0", "V"):
+        a = catalog.build(name, n=draw(st.sampled_from([5, 7, 9, 11])))
+    else:
+        a = catalog.build(name, alpha=draw(ALPHA))
+    sparse = draw(st.booleans())
+    beta = Form(1, {(i,): draw(COEFF) for i in range(1, a.dim + 1)
+                    if not sparse or draw(st.integers(0, 2)) == 0})
+    return a, beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(contact_candidates())
+def test_bordered_pfaffian_is_the_contact_volume(drawn):
+    a, beta = drawn
+    n = a.dim
+    d_beta = differential(a, beta)
+    volume = beta.wedge(wedge_power(a, d_beta, n // 2))
+    bordered = dict(d_beta.coeffs)
+    bordered.update({(i, n + 1): c for (i,), c in beta.coeffs.items()})
+    pf = pfaffian(n + 1, bordered)
+    assert factorial(n // 2) * pf == volume.coeffs.get(tuple(range(1, n + 1)), 0)
+    assert contact_check(a, beta).volume == volume
 
 
 # -- pointwise symplectic check ------------------------------------------------------

@@ -19,9 +19,11 @@ default on graded input.  :func:`monomials_by_weight` enumerates a degree
 once and buckets its monomials by weight, each bucket in lexicographic
 order; every weight block is read from it.
 
-Representatives returned by :func:`cohomology` are canonical: kernel vectors
-are reduced modulo the coboundary space and re-echelonized over the
-lexicographic monomial order.
+Representatives returned by :func:`cohomology` are canonical: the cocycles
+reduced modulo the coboundary space B, in reduced row echelon form over the
+lexicographic monomial order.  Each block reads them off one kernel: the
+cocycles that vanish at B's pivot monomials form a complement of B in the
+cocycles, and they are exactly the reduced ones (see ``_block``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Subspace, Vec, kernel_basis, rref, solve_in_span,
+from .linalg import (Matrix, Vec, kernel_basis, rref, solve_in_span,
                      vec_combination)
 from .lie import LieAlgebra
 from .scalars import as_scalar, format_rat, rat, scalar_at
@@ -271,17 +273,26 @@ class CohomologyBlock:
 def _block(a: LieAlgebra, p: int, src: list[tuple], tgt: list[tuple],
            below: list[tuple]) -> list[Form]:
     """Canonical H^p representatives over the degree-p monomials src; tgt
-    and below are the degree p+1 and p-1 monomials of the same block."""
+    and below are the degree p+1 and p-1 monomials of the same block.
+
+    The coboundaries B = d(below) lie in the cocycles Z, as d^2 = 0.  For
+    z in Z, subtracting z's entries at B's pivot monomials times B's RREF
+    rows is the reduction of z modulo B and leaves a cocycle that vanishes
+    at those monomials, so Z is the direct sum of B and Z0 = {z in Z : z is
+    zero at B's pivots}, and Z0 is the space of reduced cocycles.  Z0 is
+    the kernel of d on the monomials of src that are no pivot of B, and its
+    RREF is the canonical basis of H^p.
+    """
     if not src:
         return []
     if p == 0:
         # constants: d = 0, no coboundaries
         return [Form(0, {(): 1})]
-    kern = kernel_basis(d_matrix(a, src, tgt))
-    cocycles = [{src[c]: v for c, v in vec.items()} for vec in kern]
-    bound = Subspace.span([img for img in (d_monomial(a, idx) for idx in below) if img])
-    reduced = [bound.reduce(v) for v in cocycles]
-    _, rows = rref([r for r in reduced if r])
+    pivots, _ = rref([img for img in (d_monomial(a, idx) for idx in below) if img])
+    bound = set(pivots)
+    free = [idx for idx in src if idx not in bound]
+    kern = kernel_basis(d_matrix(a, free, tgt))
+    _, rows = rref([{free[c]: v for c, v in vec.items()} for vec in kern])
     return [Form(p, r) for r in rows]
 
 

@@ -2,11 +2,17 @@
 
 Vectors are sparse dicts ``{column: scalar}``; matrices store a sparse
 ``{(row, col): scalar}`` map.  Everything is computed by exact Gaussian
-elimination over the scalar field (Fraction or RatFunc), with reduced row
-echelon form as the canonical shape so that kernel bases, cohomology
-representatives and spectral-sequence blocks are deterministic.  One
-eliminator, ``_eliminate``, serves ``rref``, the kernels and ``SpanSolver``;
-it keeps work rows bucketed by leading column (see ``rref``).
+elimination, with reduced row echelon form as the canonical shape so that
+kernel bases, cohomology representatives and spectral-sequence blocks are
+deterministic.  One elimination scaffold, ``_echelon``, keeps work rows
+bucketed by leading column and runs both eliminators.  ``rref`` (and so the
+kernels, ``Subspace.span`` and ``quotient_representatives``) runs on Python
+ints when every entry is a Fraction or an int (``_rref_integer``), which
+saves building a Fraction at every step; the RREF of a row space is unique,
+so its output is the one the field eliminator would give.  The field
+eliminator ``_eliminate`` works over Fraction or RatFunc and serves RatFunc
+rows, ``SpanSolver`` (whose tag coefficients depend on the pivot rows
+chosen when the generators are dependent) and ``rank_drop_candidates``.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from math import prod
+from math import gcd, lcm, prod
 
 from .scalars import as_scalar, pivot_complexity
 
 Vec = dict  # {col: scalar}, zero entries never stored
 _ONE = Fraction(1)  # shared: Fractions are immutable
+_RATIONAL = (int, Fraction)
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -114,14 +121,18 @@ class Matrix:
         return out
 
 
-def _eliminate(rows: list[Vec], tags: list[Vec]):
-    """``rref`` of rows, applying each row operation to the tags as well.
+def _echelon(work: list[Vec], weight, pivot, clear) -> list[tuple]:
+    """Reduced row echelon form of the rows in work, in place.
 
-    Returns (pivots ascending, rows, tags, divisors); zero rows drop with
-    their tags, and divisors[s] is the entry pivot row s was divided by.
+    Work rows wait in buckets keyed by their leading column, with a heap of
+    the leads: the pivot column is the smallest lead, so only its bucket is
+    reduced, and each reduced row moves to the bucket of its new lead.
+    Inside the bucket the lead of smallest weight(lead) wins, ties by input
+    order.  pivot(i, col) readies row i as the pivot row of col, and
+    clear(i, j, col) removes column col from row i with pivot row j; back
+    substitution clears each row's later pivot columns the same way.
+    Returns the (pivot column, row index) pairs, columns ascending.
     """
-    work = [dict(r) for r in rows]
-    wtags = [dict(t) for t in tags]
     buckets: dict = {}  # leading column -> indices of the work rows
     heap: list = []  # the leading columns that have a bucket
 
@@ -136,38 +147,111 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
         if r:
             put(i)
     order = []
-    divisors = []
     while heap:
         col = heappop(heap)
         bucket = buckets.pop(col)
         if len(bucket) == 1:
             best = bucket[0]
         else:
-            best = min(bucket, key=lambda i: (pivot_complexity(work[i][col]), i))
-        row, tag = work[best], wtags[best]
+            best = min(bucket, key=lambda i: (weight(work[i][col]), i))
+        pivot(best, col)
+        for i in bucket:
+            if i != best:
+                clear(i, best, col)
+                if work[i]:
+                    put(i)
+        order.append((col, best))
+    # back substitution: rows of later pivots already vanish at every other
+    # pivot column, so clearing a row's own pivot entries one by one leaves
+    # its other pivot entries zero
+    done: dict = {}
+    for col, i in reversed(order):
+        for k in [k for k in work[i] if k in done]:
+            clear(i, done[k], k)
+        done[col] = i
+    return order
+
+
+def _eliminate(rows: list[Vec], tags: list[Vec]):
+    """``rref`` of rows over the scalar field, applying each row operation
+    to the tags as well.
+
+    Returns (pivots ascending, rows, tags, divisors); zero rows drop with
+    their tags, and divisors[s] is the entry pivot row s was divided by.
+    """
+    work = [dict(r) for r in rows]
+    wtags = [dict(t) for t in tags]
+    divisors = []
+
+    def pivot(i: int, col) -> None:
+        row = work[i]
         divisors.append(row[col])
         if row[col] != 1:
             inv = 1 / row[col]
-            row, tag = vec_scale(row, inv), vec_scale(tag, inv)
-        row[col] = _ONE
-        for i in bucket:
-            if i != best:
-                c = -work[i][col]
-                vec_axpy_into(work[i], c, row)
-                vec_axpy_into(wtags[i], c, tag)
-                if work[i]:
-                    put(i)
-        order.append((col, row, tag))
-    # back substitution: rows of later pivots already vanish at every other
-    # pivot column, so one pass over each row's own pivot entries clears it
-    done: dict = {}
-    for col, row, tag in reversed(order):
-        for k, c in [(k, c) for k, c in row.items() if k in done]:
-            vec_axpy_into(row, -c, done[k][0])
-            vec_axpy_into(tag, -c, done[k][1])
-        done[col] = (row, tag)
-    pivots = [col for col, _, _ in order]
-    return pivots, [done[c][0] for c in pivots], [done[c][1] for c in pivots], divisors
+            work[i], wtags[i] = vec_scale(row, inv), vec_scale(wtags[i], inv)
+        work[i][col] = _ONE
+
+    def clear(i: int, j: int, col) -> None:
+        c = -work[i][col]
+        vec_axpy_into(work[i], c, work[j])
+        vec_axpy_into(wtags[i], c, wtags[j])
+
+    order = _echelon(work, pivot_complexity, pivot, clear)
+    return ([col for col, _ in order], [work[i] for _, i in order],
+            [wtags[i] for _, i in order], divisors)
+
+
+def _primitive(row: Vec) -> Vec:
+    """row divided by the gcd of its entries; integer entries stay integers."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {k: v // g for k, v in row.items()}
+
+
+def _rref_integer(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
+    """``rref`` of rows whose entries are all Fractions or ints.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with the row
+    content divided out: each row is multiplied by the lcm of its
+    denominators and divided by the gcd of its entries, and removing column
+    col from row r with pivot row q, whose entries there are b and a with
+    g = gcd(a, b), is r <- (a/g) r - (b/g) q followed by division by the
+    content of r.  The pivot of a bucket is the lead of least magnitude.
+    Each row is divided by its lead only at the end, one Fraction per
+    output entry.
+    """
+    work = []
+    for r in rows:
+        scale = lcm(*(v.denominator for v in r.values()))
+        work.append(_primitive({k: v.numerator * (scale // v.denominator)
+                                for k, v in r.items()}))
+
+    def clear(i: int, j: int, col) -> None:
+        row, piv = work[i], work[j]
+        a, b = piv[col], row[col]
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+        get = row.get
+        for k, v in piv.items():
+            s = get(k, 0) - b * v
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+        if row:
+            work[i] = _primitive(row)
+
+    order = _echelon(work, abs, lambda i, col: None, clear)
+    out = []
+    for col, i in order:
+        lead = work[i][col]
+        out.append({k: Fraction(v, lead) for k, v in work[i].items()})
+        out[-1][col] = _ONE
+    return [col for col, _ in order], out
 
 
 def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
@@ -175,13 +259,15 @@ def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
 
     Returns (pivot columns ascending, nonzero rows, one per pivot).  Pivot rows
     are normalized to leading coefficient 1 and fully reduced both above and
-    below, so the output is the canonical basis of the row space.  Work rows
-    wait in buckets keyed by their leading column, with a heap of the leads:
-    the pivot column is the smallest lead, so only its bucket is reduced, and
-    each reduced row moves to the bucket of its new lead.  Inside the bucket
-    the entry of smallest bit-size wins (ties by input order), which keeps
-    intermediate fractions short without affecting the result.
+    below, so the output is the canonical basis of the row space.  Rows
+    whose entries are all Fractions or ints are eliminated over the
+    integers (``_rref_integer``) and come out with Fraction entries; other
+    rows (RatFunc) are eliminated over their field (``_eliminate``).  The
+    reduced row echelon form of a row space is unique, so neither the route
+    nor the choice of pivot rows shows in the result.
     """
+    if all(isinstance(v, _RATIONAL) for r in rows for v in r.values()):
+        return _rref_integer(rows)
     pivots, out, _, _ = _eliminate(rows, [{}] * len(rows))
     return pivots, out
 

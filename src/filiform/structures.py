@@ -50,7 +50,15 @@ class NotSymplectic(ValueError):
 
 
 def _max_grid() -> int:
-    return int(os.environ.get("FILIFORM_MAX_GRID", "200000"))
+    """The FILIFORM_MAX_GRID bound (default 200000), an integer >= 1."""
+    raw = os.environ.get("FILIFORM_MAX_GRID", "200000")
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0  # not an integer: rejected with the same reason below
+    if bound < 1:
+        raise ValueError(f"FILIFORM_MAX_GRID must be an integer >= 1, got {raw!r}")
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +173,7 @@ def _poly_wedge_power(coeffs: dict, k: int) -> dict:
     """
     if not coeffs:
         return {}
+    bound = _max_grid()
     nvars = next(iter(coeffs.values())).nvars
     power = {(): MPoly.const(nvars, 1)}
     for _ in range(k):
@@ -181,7 +190,7 @@ def _poly_wedge_power(coeffs: dict, k: int) -> dict:
                 cur = nxt.get(idx)
                 nxt[idx] = term if cur is None else cur + term
         power = {idx: c for idx, c in nxt.items() if not c.is_zero()}
-        if sum(len(c.terms) for c in power.values()) > _max_grid():
+        if sum(len(c.terms) for c in power.values()) > bound:
             raise RuntimeError(
                 "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
     return power

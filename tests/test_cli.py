@@ -252,3 +252,20 @@ def test_search_bound_decides_or_exits_with_input_error(tmp_path, capsys, monkey
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "FILIFORM_MAX_GRID" in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("symplectic", H5_R),
+    ("contact", catalog.build("m0", n=7).to_dict()),
+])
+@pytest.mark.parametrize("value", ["abc", "", "-5", "0", "2.5"])
+def test_search_bound_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
+                                                 command, doc, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("FILIFORM_MAX_GRID", value)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: FILIFORM_MAX_GRID must be an integer >= 1")
+    assert "Traceback" not in captured.err

@@ -134,6 +134,43 @@ def test_differential_matches_reference(name, params):
             assert differential(a, phi) == reference_differential(a, phi), (p, phi)
 
 
+def reference_block(a, p, src, tgt, below):
+    """H^p over src by the direct route: the kernel of d, each cocycle
+    reduced modulo the coboundaries d(below), the residues re-echelonized."""
+    from filiform.cochain import d_matrix, d_monomial
+    from filiform.linalg import Subspace, kernel_basis, rref
+    if not src:
+        return []
+    if p == 0:
+        return [Form(0, {(): 1})]
+    kern = kernel_basis(d_matrix(a, src, tgt))
+    cocycles = [{src[c]: v for c, v in vec.items()} for vec in kern]
+    bound = Subspace.span([img for img in (d_monomial(a, idx) for idx in below) if img])
+    reduced = [bound.reduce(v) for v in cocycles]
+    _, rows = rref([r for r in reduced if r])
+    return [Form(p, r) for r in rows]
+
+
+# H^p needs d^2 = 0, and the section5 relations of m03 fail the Jacobi identity
+@pytest.mark.parametrize("name, params", [
+    case for case in ORACLE_ALGEBRAS if case[1].get("variant") != "section5"] + [
+    ("deformation_23", {"alphas": (Fraction(-1, 2), 3, Fraction(2, 3))})])
+def test_cohomology_blocks_match_reference(name, params):
+    a = catalog.build(name, **params)
+    assert d_squared_zero(a)
+    for p in range(a.dim + 1):
+        degrees = (p, p + 1, p - 1)
+        whole = [lambda_basis(a.dim, q) for q in degrees]
+        assert cohomology(a, p, blocked=False).forms() == reference_block(a, p, *whole), p
+        if a.weights is None:
+            assert cohomology(a, p).forms() == reference_block(a, p, *whole), p
+            continue
+        src, tgt, below = (monomials_by_weight(a.dim, q, a.weights) for q in degrees)
+        for w in src:
+            expected = reference_block(a, p, src[w], tgt.get(w, []), below.get(w, []))
+            assert cohomology(a, p, weight=w).forms() == expected, (p, w)
+
+
 def test_monomials_by_weight_matches_filter():
     rng = random.Random(5)
     for n in range(1, 11):

@@ -1,8 +1,9 @@
 """Exact linear algebra: golden values plus randomized invariants.
 
 Derived expectations are frozen from independent oracles: sympy's rational
-matrices for rank/nullity, and brute-force enumeration for the differential
-matrices coming from small catalog algebras.
+matrices for rank/nullity and RREF, the field eliminator ``_eliminate`` for
+the integer path of ``rref``, and brute-force enumeration for the
+differential matrices coming from small catalog algebras.
 """
 
 from fractions import Fraction
@@ -11,8 +12,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filiform.linalg import (Matrix, SpanSolver, Subspace, kernel_basis, rank,
-                             rank_drop_candidates, rref, solve_in_span, vec_axpy)
+from filiform.linalg import (Matrix, SpanSolver, Subspace, _eliminate, kernel_basis,
+                             rank, rank_drop_candidates, rref, solve_in_span,
+                             vec_axpy)
 from filiform.scalars import RatFunc, scalar_at
 
 
@@ -186,6 +188,60 @@ def test_rref_matches_sympy_row_for_row(rows, rng):
     mixed = [{c: s * v for c, v in r.items()} for r, s in zip(rows, scales)]
     rng.shuffle(mixed)
     assert rref(mixed) == expected
+
+
+@st.composite
+def wide_rational_rows(draw, max_cols=12, max_rows=8):
+    """(columns, rows): Fractions and ints with large numerators, plus zero,
+    duplicate, rescaled and combined rows at drawn positions."""
+    entry = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 60))).filter(bool)
+    cols = draw(st.integers(1, max_cols))
+    rows = [{c: draw(entry) for c in range(cols) if draw(st.integers(0, 2)) == 0}
+            for _ in range(draw(st.integers(0, max_rows)))]
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["zero", "duplicate", "rescaled", "combined"]))
+        extra = {"zero": {}, "duplicate": dict(a),
+                 "rescaled": vec_axpy({}, draw(entry), a),
+                 "combined": vec_axpy(vec_axpy({}, draw(entry), a), draw(entry), b)}[kind]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return cols, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_rational_rows())
+def test_integer_rref_matches_sympy_and_field_eliminator(drawn):
+    cols, rows = drawn
+    expected = sympy_rref(rows, cols)
+    pivots, out = rref(rows)
+    assert (pivots, out) == expected
+    assert all(type(v) is Fraction for r in out for v in r.values())
+    # the field eliminator divides by the leads, so it takes Fractions
+    as_fractions = [{c: Fraction(v) for c, v in r.items()} for r in rows]
+    assert (pivots, out) == tuple(_eliminate(as_fractions, [{}] * len(rows))[:2])
+
+
+def test_rref_over_parameter_field():
+    # [[t, 1, t^2], [1, t + 1, 0]] and their sum: rank 2, D = t^2 + t - 1 the
+    # minor on the first two columns, RREF entries solved by hand
+    t = RatFunc.t()
+    d = t * t + t - 1
+    rows = [{0: t, 1: 1, 2: t * t}, {0: 1, 1: t + 1}, {0: t + 1, 1: t + 2, 2: t * t}]
+    assert rref(rows) == ([0, 1], [{0: 1, 2: t * t * (t + 1) / d}, {1: 1, 2: -t * t / d}])
+
+
+def test_span_solver_coefficients_on_dependent_generators():
+    # generators 0 and 1, and 3 = 1 + 2, are dependent, so the coefficients
+    # are not unique; these are the ones the field eliminator picks
+    gens = [{0: Fraction(2), 1: Fraction(4)}, {0: Fraction(1), 1: Fraction(2)},
+            {1: Fraction(3), 2: Fraction(-1)}, {0: Fraction(1), 1: Fraction(5), 2: Fraction(-1)},
+            {2: Fraction(1, 2)}]
+    solver = SpanSolver(gens)
+    assert solver.solve({0: 3, 1: 7, 2: -2}) == [0, 3, Fraction(1, 3), 0, Fraction(-10, 3)]
+    assert solver.solve({0: 1, 1: 9, 2: 4}) == [0, 1, Fraction(7, 3), 0, Fraction(38, 3)]
+    assert solver.solve({3: 1}) is None
 
 
 def rows_rank(rows, cols=7) -> int:

@@ -11,6 +11,10 @@ normalization: fixing generators v1, v2 up to scale and propagating
 v_{i+1} = [v1, v_i] turns any graded isomorphism into the scaling
 e_i -> a^{i-2} b e_i, which multiplies every non-chain structure constant by
 the single factor t = b / a^2.  Tables are therefore compared projectively.
+When the weights define the grading (every bracket a single term on the
+line of the summed weight), the chain basis is a diagonal rescaling of the
+table's own basis, so the normalized constants are read off the table
+directly, without a base change.
 
 The classification itself is reproduced by the inductive procedure: extend
 every dimension-m class by its weight-(m+1) cocycles with a nonzero
@@ -27,7 +31,7 @@ from fractions import Fraction
 from . import catalog
 from .cochain import (Form, NotCocycle, cohomology, d_matrix, differential,
                       lambda_basis)
-from .lie import LieAlgebra, center, change_basis, is_filiform
+from .lie import LieAlgebra, center, is_filiform
 from .linalg import rank_drop_candidates
 from .scalars import RatFunc, as_scalar, rational_roots
 
@@ -129,33 +133,47 @@ def is_filiform_extension(x: ExtensionCocycle) -> bool:
 def chain_constants(a: LieAlgebra) -> dict:
     """Non-chain structure constants in the chain-normalized basis.
 
-    Requires an N-graded filiform algebra: weights are a permutation of 1..n
-    with one basis line each and [g_1, g_i] = g_{i+1} for i >= 2.  Returns
-    {(i, j): c} for 2 <= i < j with [e_i, e_j] = c e_{i+j}; the chain entries
-    are normalized away.
+    Requires an N-graded filiform algebra whose weights define the grading:
+    the weights are a permutation of 1..n with one basis line each, every
+    bracket [e_p, e_q] is a single term on the line of weight
+    w(p) + w(q) <= n, and [g_1, g_i] = g_{i+1} for i >= 2.  Returns
+    {(i, j): c} for 2 <= i < j with [v_i, v_j] = c v_{i+j} in the chain basis
+    v_1 = g_1, v_2 = g_2, v_{i+1} = [v_1, v_i]; the chain entries are
+    normalized away.
+
+    The chain basis is a diagonal rescaling v_i = s_i e_{pos[i]} of the
+    table's basis (pos[i] the index of weight i): s_1 = s_2 = 1 and
+    s_{i+1} = s_i c for [e_{pos[1]}, e_{pos[i]}] = c e_{pos[i+1]}.  So each
+    constant is read off the table as s_i s_j c_ij / s_{i+j}, with the sign
+    of ordering the pair by weight, and no base change is needed.
     """
     n = a.dim
-    if a.weights is None or sorted(a.weights) != list(range(1, n + 1)):
+    weights = a.weights
+    if weights is None or sorted(weights) != list(range(1, n + 1)):
         raise NotGradedFiliform("need weights forming 1..n, one line each")
-    pos = {w: i + 1 for i, w in enumerate(a.weights)}
-    chain = [{pos[1]: as_scalar(1)}, {pos[2]: as_scalar(1)}]
-    for _ in range(n - 2):
-        nxt = a.bracket_vec(chain[0], chain[-1])
-        if not nxt:
+    pos = {w: i + 1 for i, w in enumerate(weights)}
+    scale = [None, as_scalar(1), as_scalar(1)]  # s_i at index i
+    for i in range(2, n):
+        comps = a.bracket(pos[1], pos[i])
+        if comps.keys() != {pos[i + 1]}:
             raise NotGradedFiliform("[g_1, g_i] = g_{i+1} fails")
-        chain.append(nxt)
-    b = change_basis(a, chain, weights=range(1, n + 1))
+        scale.append(scale[i] * comps[pos[i + 1]])
     out = {}
-    for (i, j), comps in b.brackets.items():
+    for (p, q), comps in a.brackets.items():
+        i, j, sign = weights[p - 1], weights[q - 1], 1
+        if i > j:
+            i, j, sign = j, i, -1
         if i == 1:
             continue
-        if set(comps) != {i + j}:
+        if i + j > n or comps.keys() != {pos[i + j]}:
             raise NotGradedFiliform("bracket is not weight-homogeneous")
-        out[(i, j)] = comps[i + j]
-    return out
+        out[(i, j)] = sign * scale[i] * scale[j] * comps[pos[i + j]] / scale[i + j]
+    return dict(sorted(out.items()))
 
 
-def _projective_normalize(constants: dict) -> dict:
+def _normal_form(a: LieAlgebra) -> dict:
+    """chain_constants(a) divided by its first entry, the graded invariant."""
+    constants = chain_constants(a)
     if not constants:
         return {}
     first = min(constants)
@@ -172,7 +190,7 @@ def graded_isomorphic(a: LieAlgebra, b: LieAlgebra) -> bool:
     """
     if a.dim != b.dim:
         return False
-    return _projective_normalize(chain_constants(a)) == _projective_normalize(chain_constants(b))
+    return _normal_form(a) == _normal_form(b)
 
 
 def family_parameter_match(a: LieAlgebra, family: str) -> Fraction | None:
@@ -211,6 +229,7 @@ def classify_graded(a: LieAlgebra) -> tuple[str, Fraction | None]:
     fold into m0, m2 or the families.
     """
     n = a.dim
+    target = _normal_form(a)
     for name in _NAMED_ORDER:
         if name == "V" and n < 12:
             continue
@@ -218,7 +237,7 @@ def classify_graded(a: LieAlgebra) -> tuple[str, Fraction | None]:
             cand = catalog.build(name, n=n)
         except (catalog.GuardViolated, KeyError):
             continue
-        if graded_isomorphic(a, cand):
+        if _normal_form(cand) == target:
             return name, None
     if 7 <= n <= 11:
         alpha = family_parameter_match(a, f"g{n}")

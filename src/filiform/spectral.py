@@ -84,21 +84,33 @@ def degree_totals(dims: dict) -> dict:
     return {deg: d for deg, d in sorted(out.items()) if d}
 
 
+class _PerDegree(dict):
+    """A {degree: value} memo, filled on first read."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, p):
+        got = self[p] = self._build(p)
+        return got
+
+
 class _PageComputer:
     """Caches bases, differentials, Z-spaces and the persistence pairing of
-    one filtered complex."""
+    one filtered complex.  The monomials of a degree are enumerated on its
+    first use, so a caller reading only low degrees never builds the rest."""
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
         n = algebra.dim
         self.n = n
-        self.bases: dict[int, list[tuple]] = {}
-        self.weights: dict[int, list[int]] = {}
-        for p in range(n + 2):
-            # the (weight, idx) order: buckets in ascending weight
-            buckets = monomials_by_weight(n, p, range(1, n + 1))
-            self.bases[p] = [idx for bucket in buckets.values() for idx in bucket]
-            self.weights[p] = [w for w, bucket in buckets.items() for _ in bucket]
+        # the (weight, idx) order: buckets in ascending weight; the memos
+        # hold no reference to self, so the computer is freed without a cycle
+        bases = self.bases = _PerDegree(lambda p: [
+            idx for bucket in monomials_by_weight(n, p, range(1, n + 1)).values()
+            for idx in bucket])
+        self.weights = _PerDegree(lambda p: [sum(idx) for idx in bases[p]])
         self._d_image: dict[tuple, dict] = {}
         self._z_cache: dict[tuple, list] = {}
         self._pairings: dict[int, dict] = {}

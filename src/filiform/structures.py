@@ -32,7 +32,7 @@ from math import factorial
 
 from .cochain import Form, _merge_sign, d_monomial, differential, lambda_basis
 from .extensions import ExtensionCocycle, central_extension
-from .lie import AdaptedBasis, LieAlgebra, adapted_basis, gr_l, is_filiform
+from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis, gr_l
 from .linalg import kernel_basis, pfaffian, vec_combination
 from .scalars import MPoly, as_scalar
 
@@ -218,8 +218,15 @@ def symplectic_exists(a: LieAlgebra) -> SymplecticCertificate:
     """
     if a.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
-    if is_filiform(a) and a.dim >= 4:
-        return _symplectic_exists_filiform(a)
+    if a.dim >= 4:
+        # the adapted-basis search computes the central series once and
+        # raises NotFiliform on it, which routes to the generic search
+        try:
+            ab = adapted_basis(a)
+        except NotFiliform:
+            pass
+        else:
+            return _symplectic_exists_filiform(a, ab)
     return _symplectic_exists_generic(a)
 
 
@@ -251,8 +258,7 @@ def _top_weight_symplectic(g: LieAlgebra) -> Form | None:
     return _symplectic_in_span(g, reps) if reps else None
 
 
-def _symplectic_exists_filiform(a: LieAlgebra) -> SymplecticCertificate:
-    ab = adapted_basis(a)
+def _symplectic_exists_filiform(a: LieAlgebra, ab: AdaptedBasis) -> SymplecticCertificate:
     if ab.alpha:
         # gr_C is of m1 type: no symplectic cocycle exists at all
         return SymplecticCertificate(

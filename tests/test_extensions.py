@@ -7,13 +7,16 @@ import pytest
 from filiform import catalog
 from filiform.cochain import Form, cohomology, d_matrix, lambda_basis
 from filiform.extensions import (CenterNotOneDimensional, ExtensionCocycle,
-                                 NotGradedFiliform, central_extension,
+                                 NotGradedFiliform, _filiform_split,
+                                 _top_weight_reps, central_extension,
                                  chain_constants, classify_graded,
                                  enumerate_graded_filiform, extension_cocycle_of,
                                  family_parameter_match, graded_isomorphic,
                                  is_filiform_extension, quotient_by_extension)
-from filiform.lie import abelian, is_filiform, jacobi_check, grading_violations
+from filiform.lie import (LieAlgebra, abelian, change_basis, is_filiform,
+                          jacobi_check, grading_violations)
 from filiform.linalg import rank_drop_candidates
+from filiform.scalars import RatFunc
 
 F = Form.from_pairs
 
@@ -96,7 +99,6 @@ def test_g7_family_members_distinct():
 
 def test_scaling_invariance():
     # e1 -> 3 e1, e2 -> (1/2) e2 fixes the class
-    from filiform.lie import change_basis
     a = catalog.build("g8", alpha=Fraction(1, 3))
     vecs = [{1: Fraction(3)}, {2: Fraction(1, 2)}]
     cur = vecs[1]
@@ -138,6 +140,86 @@ def test_not_graded_filiform():
         chain_constants(catalog.build("m1", n=8))  # weights are not 1..n
     with pytest.raises(NotGradedFiliform):
         chain_constants(abelian(5).with_weights(range(1, 6)))
+
+
+def reference_chain_constants(a):
+    """The base-change route: build the chain, change basis, read the table."""
+    n = a.dim
+    if a.weights is None or sorted(a.weights) != list(range(1, n + 1)):
+        raise NotGradedFiliform("need weights forming 1..n, one line each")
+    pos = {w: i + 1 for i, w in enumerate(a.weights)}
+    chain = [{pos[1]: Fraction(1)}, {pos[2]: Fraction(1)}]
+    for _ in range(n - 2):
+        nxt = a.bracket_vec(chain[0], chain[-1])
+        if not nxt:
+            raise NotGradedFiliform("[g_1, g_i] = g_{i+1} fails")
+        chain.append(nxt)
+    b = change_basis(a, chain, weights=range(1, n + 1))
+    out = {}
+    for (i, j), comps in b.brackets.items():
+        if i == 1:
+            continue
+        if set(comps) != {i + j}:
+            raise NotGradedFiliform("bracket is not weight-homogeneous")
+        out[(i, j)] = comps[i + j]
+    return out
+
+
+def _relabelled(a, order, scales):
+    """a in the basis e'_k = scales[k] e_{order[k]}: a diagonal rescaling
+    with the weights permuted along with the indices."""
+    vecs = [{i: Fraction(c)} for i, c in zip(order, scales)]
+    return change_basis(a, vecs, weights=[a.weights[i - 1] for i in order])
+
+
+def _chain_oracle_cases():
+    for name in catalog.names():
+        for n in range(3, 16):
+            try:
+                a = catalog.build(name, n=n)
+            except (catalog.GuardViolated, KeyError):
+                continue
+            if a.weights == tuple(range(1, n + 1)):
+                yield pytest.param(a, id=f"{name}({n})")
+    for n in range(7, 12):
+        for alpha in (1, Fraction(-7, 3), 8):
+            yield pytest.param(catalog.build(f"g{n}", alpha=alpha), id=f"g{n}({alpha})")
+    for name, n in (("m0", 6), ("m2", 6), ("m0", 8)):
+        base = catalog.build(name, n=n)
+        u, (w,) = _filiform_split(_top_weight_reps(base), n)
+        line = central_extension(ExtensionCocycle(base, u.add(w.scale(RatFunc.t()))))
+        assert line.is_parametric()
+        yield pytest.param(line, id=f"{name}({n}) line")
+    a = catalog.build("g8", alpha=Fraction(1, 3))
+    vecs = [{1: Fraction(3)}, {2: Fraction(1, 2)}]
+    for _ in range(6):
+        vecs.append(a.bracket_vec(vecs[0], vecs[-1]))
+    yield pytest.param(change_basis(a, vecs, weights=range(1, 9)), id="g8 chain basis")
+    yield pytest.param(_relabelled(a, range(8, 0, -1),
+                                   (2, -3, Fraction(5, 7), 1, Fraction(-1, 4), 6, 11, 9)),
+                       id="g8 reversed and rescaled")
+    yield pytest.param(_relabelled(catalog.build("V", n=13),
+                                   (7, 1, 12, 3, 9, 2, 13, 5, 10, 4, 8, 6, 11),
+                                   (1, -5, 3, Fraction(1, 2), 7, 2, -1, 4, 3, 5, -2, 6, 8)),
+                       id="V(13) shuffled and rescaled")
+
+
+@pytest.mark.parametrize("a", list(_chain_oracle_cases()))
+def test_chain_constants_match_base_change(a):
+    assert chain_constants(a) == reference_chain_constants(a)
+
+
+@pytest.mark.parametrize("key,comps,message", [
+    ((2, 3), {6: 1}, "weight-homogeneous"),  # lands on weight 6, not 5
+    ((2, 5), {6: 1}, "weight-homogeneous"),  # weight 7 > n
+    ((1, 3), {4: 1, 5: 2}, "g_1, g_i"),  # a chain bracket with a second term
+])
+def test_chain_constants_reject_broken_weights(key, comps, message):
+    a = catalog.build("m2", n=6)
+    table = dict(a.brackets)
+    table[key] = comps
+    with pytest.raises(NotGradedFiliform, match=message):
+        chain_constants(LieAlgebra(6, table, weights=a.weights))
 
 
 def test_cohomologous_cocycles_give_isomorphic_extensions():

@@ -115,6 +115,62 @@ def test_page_dimensions_match_build_pages(built):
         assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
 
 
+def test_survival_builds_only_low_degree_bases(monkeypatch):
+    import filiform.spectral as spectral
+    built_degrees = []
+    enumerate_degree = spectral.monomials_by_weight
+
+    def recording(n, p, weights):
+        built_degrees.append(p)
+        return enumerate_degree(n, p, weights)
+
+    monkeypatch.setattr(spectral, "monomials_by_weight", recording)
+    # a surviving corner, and an obstructed one that reads the pairing
+    for a in (catalog.build("m0", n=16), catalog.build("deformation_23", alphas=(1, 2, 3))):
+        built_degrees.clear()
+        symplectic_survival(a)
+        assert built_degrees and max(built_degrees) <= 4, a
+        assert len(built_degrees) == len(set(built_degrees)), "a degree was built twice"
+
+
+def test_page_dimensions_lazy_bases_match_eager_build(monkeypatch):
+    import filiform.spectral as spectral
+
+    class EagerPageComputer(_PageComputer):
+        def __init__(self, algebra):
+            super().__init__(algebra)
+            for p in range(self.n + 2):
+                self.weights[p]
+
+    for label, a in DEFORMATIONS:
+        ab = adapted_basis(a)
+        lazy = page_dimensions(a, ab)
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_PageComputer", EagerPageComputer)
+            assert page_dimensions(a, ab) == lazy, label
+        comp = _PageComputer(ab.algebra)
+        for p in range(a.dim + 2):
+            eager = spectral.monomials_by_weight(a.dim, p, range(1, a.dim + 1))
+            assert comp.bases[p] == [idx for bucket in eager.values() for idx in bucket]
+            assert comp.weights[p] == [w for w, bucket in eager.items() for _ in bucket]
+
+
+def test_page_computer_is_freed_without_the_cycle_collector():
+    # a memo closing over the computer would keep every cached d image alive
+    # until the next collection, raising the peak memory of a verdict
+    import gc
+    import weakref
+    comp = _PageComputer(catalog.build("m2", n=7))
+    comp.weights[3]
+    ref = weakref.ref(comp)
+    gc.disable()
+    try:
+        del comp
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_page_dimensions_match_build_pages_on_random_deformations():
     import random
     rng = random.Random(20261018)

@@ -226,6 +226,23 @@ def test_generic_route_on_abelian_and_heisenberg_product():
     assert is_symplectic_form(abelian(6), cert.form)
 
 
+def test_symplectic_verdict_computes_the_central_series_once(monkeypatch):
+    import filiform.lie as lie
+    calls = []
+    series = lie.central_series
+
+    def counting(a):
+        calls.append(a.dim)
+        return series(a)
+
+    monkeypatch.setattr(lie, "central_series", counting)
+    for a in (catalog.build("V", n=10), catalog.build("m1", n=8),
+              catalog.build("deformation_23", alphas=(1, 2, 3)), abelian(6)):
+        calls.clear()
+        symplectic_exists(a)
+        assert len(calls) == 1, a
+
+
 # -- homogeneous decomposition ----------------------------------------------------------
 
 def test_homogeneous_decomposition_single():

@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
     a, digest = _load_algebra(args.algebra, check=False)
     bad = jacobi_check(a)
     ungraded = _grading_violations(a)
-    series = central_series(a)
+    series = central_series(a, jacobi=not bad)
     graded_1n = (a.weights is not None and not ungraded
                  and sorted(a.weights) == list(range(1, a.dim + 1)))
     report = {

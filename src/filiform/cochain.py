@@ -29,11 +29,12 @@ cocycles, and they are exactly the reduced ones (see ``_block``).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Vec, kernel_basis, rref, solve_in_span,
-                     vec_combination)
+from .linalg import (Matrix, Vec, kernel_basis, pivot_columns, rref,
+                     solve_in_span, vec_combination)
 from .lie import LieAlgebra
 from .scalars import as_scalar, format_rat, rat, scalar_at
 
@@ -176,21 +177,29 @@ def d_monomial(a: LieAlgebra, idx: tuple) -> Vec:
     """d of the monomial e^idx: the Leibniz rule over the table of d e^k.
 
     The one expansion of d; every other use of d is a linear extension.
+    The term of the pair (i, j), i < j, in d e^{i_t} is b e^i ^ e^j ^ rest
+    times (-1)^t, rest = idx without i_t.  It vanishes when i or j is in
+    rest; otherwise i and j move to their insertion points x and y in rest
+    (found by bisection), past x and y smaller indices, so the sorted
+    monomial carries the sign (-1)^(t + x + y).
     """
     de = a.dual_table
     out: Vec = {}
+    m = len(idx) - 1
     for t, i_t in enumerate(idx):
         two = de[i_t - 1]
         if not two:
             continue
         rest = idx[:t] + idx[t + 1:]
-        sgn_t = -1 if t % 2 else 1
-        for pair, b in two.items():
-            merged = _merge_sign(pair + rest)
-            if merged is None:
+        for (i, j), b in two.items():
+            x = bisect_left(rest, i)
+            if x < m and rest[x] == i:
                 continue
-            new_idx, sign = merged
-            term = b if sign == sgn_t else -b
+            y = bisect_left(rest, j, x)
+            if y < m and rest[y] == j:
+                continue
+            new_idx = rest[:x] + (i,) + rest[x:y] + (j,) + rest[y:]
+            term = -b if (t + x + y) % 2 else b
             s = out.get(new_idx)
             s = term if s is None else s + term
             if s:
@@ -281,15 +290,15 @@ def _block(a: LieAlgebra, p: int, src: list[tuple], tgt: list[tuple],
     at those monomials, so Z is the direct sum of B and Z0 = {z in Z : z is
     zero at B's pivots}, and Z0 is the space of reduced cocycles.  Z0 is
     the kernel of d on the monomials of src that are no pivot of B, and its
-    RREF is the canonical basis of H^p.
+    RREF is the canonical basis of H^p.  B's pivot monomials are those of
+    any echelon form, so a forward elimination of d(below) finds them.
     """
     if not src:
         return []
     if p == 0:
         # constants: d = 0, no coboundaries
         return [Form(0, {(): 1})]
-    pivots, _ = rref([img for img in (d_monomial(a, idx) for idx in below) if img])
-    bound = set(pivots)
+    bound = set(pivot_columns([d_monomial(a, idx) for idx in below]))
     free = [idx for idx in src if idx not in bound]
     kern = kernel_basis(d_matrix(a, free, tgt))
     _, rows = rref([{free[c]: v for c, v in vec.items()} for vec in kern])

@@ -32,7 +32,7 @@ from . import catalog
 from .cochain import (Form, NotCocycle, cohomology, d_matrix, differential,
                       lambda_basis)
 from .lie import LieAlgebra, center, is_filiform
-from .linalg import rank_drop_candidates
+from .linalg import kernel_and_rank_drops, rref
 from .scalars import RatFunc, as_scalar, rational_roots
 
 log = logging.getLogger(__name__)
@@ -363,11 +363,20 @@ def _concrete_class(a: LieAlgebra) -> GradedIsoClass:
     return GradedIsoClass(name, a.dim, a, param)
 
 
-def _family_top_matrix(fam: LieAlgebra):
+def _family_top(fam: LieAlgebra) -> tuple[list[Form], list]:
+    """(``_top_weight_reps(fam)``, the values where d on those weights may
+    drop rank) for a family over Q(alpha), from one elimination of d.
+
+    Weight n + 1 holds no 1-forms (the weights are 1..n), so there are no
+    coboundaries and H^2 of that weight is the kernel of d, in the RREF
+    that ``cohomology`` returns.
+    """
     n = fam.dim
     src = lambda_basis(n, 2, fam.weights, n + 1)
     tgt = lambda_basis(n, 3, fam.weights, n + 1)
-    return d_matrix(fam, src, tgt), src
+    kern, drops = kernel_and_rank_drops(d_matrix(fam, src, tgt))
+    _, rows = rref([{src[c]: v for c, v in vec.items()} for vec in kern])
+    return [Form(2, r) for r in rows], drops
 
 
 def _extend_family(cls: GradedIsoClass) -> list[GradedIsoClass]:
@@ -376,10 +385,9 @@ def _extend_family(cls: GradedIsoClass) -> list[GradedIsoClass]:
     fam = cls.algebra
     n = fam.dim
     guards = set(cls.excluded) | set(_builder_guards(cls.name))
-    matrix, _ = _family_top_matrix(fam)
-    candidates = set(rank_drop_candidates(matrix)) - guards
-
-    u, _rest = _filiform_split(_top_weight_reps(fam), n)
+    reps, drops = _family_top(fam)
+    candidates = set(drops) - guards
+    u, _rest = _filiform_split(reps, n)
     out: list[GradedIsoClass] = []
     new_guards = set(_builder_guards_next(cls.name, n + 1))
     if u is not None:

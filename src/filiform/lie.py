@@ -205,27 +205,75 @@ def grading_violations(a: LieAlgebra) -> list[tuple[int, int, int]]:
 # central series, filiform detection
 # ---------------------------------------------------------------------------
 
-def central_series(a: LieAlgebra) -> list[Subspace]:
+def central_series(a: LieAlgebra, jacobi: bool = True) -> list[Subspace]:
     """Descending central series C^1 = g, C^k = [g, C^{k-1}], until stationary.
 
     The last entry is the first stationary term (zero iff the input is
     nilpotent).
+
+    C^2 is the span of the bracket table.  The unit vectors S off its pivot
+    columns span a complement of C^2, and the subalgebra they generate is
+    span(S) + W, where W is the smallest ad(S)-stable subspace containing
+    [S, S] (right-normed brackets span it); W lies in C^2, so S generates g
+    iff W = C^2.  That always holds for nilpotent g.  Then C^{k+1} is the
+    span V of [s, c] for s in S and c in a basis of C^k: the x with
+    ad(x) C^k inside V form a subalgebra (V lies in C^k, and ad is a
+    homomorphism) that contains S.  Otherwise, as on sl2 where C^2 = g and
+    S is empty, every basis vector is a generator.  Both arguments need the
+    Jacobi identity; ``jacobi=False`` brackets every basis vector with
+    every C^k, for tables that may violate it.
     """
-    full = Subspace.span([{i: as_scalar(1)} for i in range(1, a.dim + 1)])
-    series = [full]
-    current = full
+    n = a.dim
+    units = [{i: as_scalar(1)} for i in range(1, n + 1)]
+    full = Subspace.span(units)
+    c2 = Subspace.span(list(a.brackets.values()))
+    series = [full, c2]
+    if c2.dim in (0, n):
+        return series
+    pivots = set(c2.pivots)
+    gens = [units[i - 1] for i in range(1, n + 1) if i not in pivots]
+    images = _generated_images(a, gens, c2.dim) if jacobi else None
+    if images is None:
+        gens = units
+    current = c2
     while True:
-        gens = []
-        for i in range(1, a.dim + 1):
-            for v in current.basis():
-                w = a.bracket_vec({i: as_scalar(1)}, v)
-                if w:
-                    gens.append(w)
-        nxt = Subspace.span(gens)
+        if images is None:
+            images = [a.bracket_vec(s, v) for s in gens for v in current.basis()]
+        nxt = Subspace.span([v for v in images if v])
         series.append(nxt)
         if nxt.dim in (0, current.dim):
             return series
-        current = nxt
+        current, images = nxt, None
+
+
+def _generated_images(a: LieAlgebra, gens: list[Vec], dim_c2: int) -> list[Vec] | None:
+    """The brackets [s, w] for s in gens and w in a basis of W, the smallest
+    ad(gens)-stable subspace containing [gens, gens], when dim W = dim_c2
+    (so they span [gens, C^2] = C^3); None otherwise.
+
+    W grows from a queue of brackets, each reduced against the echelon rows
+    found so far (keyed by leading column); a nonzero residue is a new
+    basis vector, and its brackets with gens join the queue (the loop reads
+    what is appended).  W lies in C^2, so it is all of C^2 as soon as the
+    dimensions agree.
+    """
+    index: dict = {}  # leading column -> echelon row of W
+    queue = [a.bracket_vec(s, t) for s, t in itertools.combinations(gens, 2)]
+    images: list[Vec] = []
+    for v in queue:
+        for lead in sorted(index):
+            c = v.get(lead)
+            if c:
+                v = vec_axpy(v, -c / index[lead][lead], index[lead])
+        if not v:
+            continue
+        index[min(v)] = v
+        new = [a.bracket_vec(s, v) for s in gens]
+        images.extend(new)
+        queue.extend(new)
+        if len(index) == dim_c2:
+            return images
+    return None
 
 
 def is_nilpotent(a: LieAlgebra) -> bool:

@@ -9,10 +9,13 @@ bucketed by leading column and runs both eliminators.  ``rref`` (and so the
 kernels, ``Subspace.span`` and ``quotient_representatives``) runs on Python
 ints when every entry is a Fraction or an int (``_rref_integer``), which
 saves building a Fraction at every step; the RREF of a row space is unique,
-so its output is the one the field eliminator would give.  The field
-eliminator ``_eliminate`` works over Fraction or RatFunc and serves RatFunc
-rows, ``SpanSolver`` (whose tag coefficients depend on the pivot rows
-chosen when the generators are dependent) and ``rank_drop_candidates``.
+so its output is the one the field eliminator would give.  Its row
+operation, ``clear_integer``, is also the column update of the persistence
+pairing in ``spectral``, and ``pivot_columns`` runs only its forward pass.
+The field eliminator ``_eliminate`` works over Fraction or RatFunc and
+serves RatFunc rows, ``SpanSolver`` (whose tag coefficients depend on the
+pivot rows chosen when the generators are dependent) and
+``rank_drop_candidates``.
 """
 
 from __future__ import annotations
@@ -121,7 +124,8 @@ class Matrix:
         return out
 
 
-def _echelon(work: list[Vec], weight, pivot, clear) -> list[tuple]:
+def _echelon(work: list[Vec], weight, pivot, clear,
+             reduced: bool = True) -> list[tuple]:
     """Reduced row echelon form of the rows in work, in place.
 
     Work rows wait in buckets keyed by their leading column, with a heap of
@@ -130,7 +134,8 @@ def _echelon(work: list[Vec], weight, pivot, clear) -> list[tuple]:
     Inside the bucket the lead of smallest weight(lead) wins, ties by input
     order.  pivot(i, col) readies row i as the pivot row of col, and
     clear(i, j, col) removes column col from row i with pivot row j; back
-    substitution clears each row's later pivot columns the same way.
+    substitution clears each row's later pivot columns the same way, and is
+    skipped when reduced is false (the rows are then only in echelon form).
     Returns the (pivot column, row index) pairs, columns ascending.
     """
     buckets: dict = {}  # leading column -> indices of the work rows
@@ -161,6 +166,8 @@ def _echelon(work: list[Vec], weight, pivot, clear) -> list[tuple]:
                 if work[i]:
                     put(i)
         order.append((col, best))
+    if not reduced:
+        return order
     # back substitution: rows of later pivots already vanish at every other
     # pivot column, so clearing a row's own pivot entries one by one leaves
     # its other pivot entries zero
@@ -209,49 +216,84 @@ def _primitive(row: Vec) -> Vec:
     return {k: v // g for k, v in row.items()}
 
 
+def all_rational(rows) -> bool:
+    """Whether every entry of the sparse rows is a Fraction or an int."""
+    return all(isinstance(v, _RATIONAL) for r in rows for v in r.values())
+
+
+def integer_row(row: Vec) -> Vec:
+    """The primitive integer multiple of a row of Fractions or ints."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    if scale == 1:  # keep the numerators, allocate no new ints
+        return _primitive({k: v.numerator for k, v in row.items()})
+    return _primitive({k: v.numerator * (scale // v.denominator)
+                       for k, v in row.items()})
+
+
+def clear_integer(row: Vec, piv: Vec, col) -> Vec:
+    """Remove column col from the primitive integer row with pivot row piv.
+
+    With a = piv[col], b = row[col] and g = gcd(a, b), row becomes
+    (a/g) row - (b/g) piv divided by its content; row is updated in place
+    and the result is row or its primitive copy.  The new row is a nonzero
+    multiple of the field update row - (b/a) piv, so it has the same
+    support.
+    """
+    a, b = piv[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    get = row.get
+    for k, v in piv.items():
+        s = get(k, 0) - b * v
+        if s:
+            row[k] = s
+        else:
+            del row[k]
+    return _primitive(row) if row else row
+
+
+def _echelon_integer(rows: list[Vec], reduced: bool) -> tuple[list, list[Vec]]:
+    """``_echelon`` over the primitive integer multiples of rational rows."""
+    work = [integer_row(r) for r in rows]
+
+    def clear(i: int, j: int, col) -> None:
+        work[i] = clear_integer(work[i], work[j], col)
+
+    return _echelon(work, abs, lambda i, col: None, clear, reduced), work
+
+
 def _rref_integer(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     """``rref`` of rows whose entries are all Fractions or ints.
 
     Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with the row
     content divided out: each row is multiplied by the lcm of its
-    denominators and divided by the gcd of its entries, and removing column
-    col from row r with pivot row q, whose entries there are b and a with
-    g = gcd(a, b), is r <- (a/g) r - (b/g) q followed by division by the
-    content of r.  The pivot of a bucket is the lead of least magnitude.
-    Each row is divided by its lead only at the end, one Fraction per
-    output entry.
+    denominators and divided by the gcd of its entries, and each pivot
+    column is removed by ``clear_integer``.  The pivot of a bucket is the
+    lead of least magnitude.  Each row is divided by its lead only at the
+    end, one Fraction per output entry.
     """
-    work = []
-    for r in rows:
-        scale = lcm(*(v.denominator for v in r.values()))
-        work.append(_primitive({k: v.numerator * (scale // v.denominator)
-                                for k, v in r.items()}))
-
-    def clear(i: int, j: int, col) -> None:
-        row, piv = work[i], work[j]
-        a, b = piv[col], row[col]
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        if a != 1:
-            for k in row:
-                row[k] *= a
-        get = row.get
-        for k, v in piv.items():
-            s = get(k, 0) - b * v
-            if s:
-                row[k] = s
-            else:
-                del row[k]
-        if row:
-            work[i] = _primitive(row)
-
-    order = _echelon(work, abs, lambda i, col: None, clear)
+    order, work = _echelon_integer(rows, True)
     out = []
     for col, i in order:
         lead = work[i][col]
         out.append({k: Fraction(v, lead) for k, v in work[i].items()})
         out[-1][col] = _ONE
     return [col for col, _ in order], out
+
+
+def pivot_columns(rows: list[Vec]) -> list:
+    """The pivot columns of ``rref(rows)``, ascending.
+
+    Every echelon form of a row space has the same pivot columns, so
+    rational rows need only the forward pass of the integer elimination:
+    no back substitution and no division by the leads.
+    """
+    if all_rational(rows):
+        return [col for col, _ in _echelon_integer(rows, False)[0]]
+    return rref(rows)[0]
 
 
 def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
@@ -266,7 +308,7 @@ def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     reduced row echelon form of a row space is unique, so neither the route
     nor the choice of pivot rows shows in the result.
     """
-    if all(isinstance(v, _RATIONAL) for r in rows for v in r.values()):
+    if all_rational(rows):
         return _rref_integer(rows)
     pivots, out, _, _ = _eliminate(rows, [{}] * len(rows))
     return pivots, out
@@ -284,7 +326,11 @@ def kernel_of_rows(rows: list[Vec], columns) -> list[Vec]:
     column f has entry 1 at f and its pivot-column entries are read off the
     RREF, so the result is itself in reduced echelon shape.
     """
-    pivots, red = rref(rows)
+    return _kernel_of_rref(*rref(rows), columns)
+
+
+def _kernel_of_rref(pivots: list, red: list[Vec], columns) -> list[Vec]:
+    """``kernel_of_rows`` read off the RREF (pivots, rows) of the rows."""
     pivot_set = set(pivots)
     basis = {f: {f: _ONE} for f in columns if f not in pivot_set}
     for p, row in zip(pivots, red):
@@ -444,13 +490,23 @@ def rank_drop_candidates(m: Matrix) -> list:
     sound superset of the values where the rank drops; each candidate
     still needs a direct check at the specialized value.
     """
+    return kernel_and_rank_drops(m)[1]
+
+
+def kernel_and_rank_drops(m: Matrix) -> tuple[list[Vec], list]:
+    """(``kernel_basis(m)``, ``rank_drop_candidates(m)``) from one elimination.
+
+    The RREF is unique, so the kernel read off the field elimination is the
+    one ``kernel_basis`` returns.
+    """
     from .scalars import Poly, RatFunc, rational_roots
 
     poles: set = set()
     for v in m.entries.values():
         if isinstance(v, RatFunc) and v.den.degree > 0:
             poles.update(rational_roots(v.den))
-    *_, divisors = _eliminate(m.row_list(), [{}] * m.rows)
+    pivots, red, _, divisors = _eliminate(m.row_list(), [{}] * m.rows)
     minor = prod(divisors, start=_ONE)
     num = minor.num if isinstance(minor, RatFunc) else Poly([minor])
-    return sorted(set(rational_roots(num)) | poles)
+    drops = sorted(set(rational_roots(num)) | poles)
+    return _kernel_of_rref(pivots, red, range(m.cols)), drops

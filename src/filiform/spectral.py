@@ -30,7 +30,13 @@ count on the pages 1..g, and
     dim E_r(w, p) = #{degree-p monomials of weight w that are unpaired or
                       paired with gap >= r},
 
-and the unpaired monomials of degree p count the Betti number b_p.
+and the unpaired monomials of degree p count the Betti number b_p.  The
+pairing only reads lows, and a nonzero multiple of a column has the same
+low, so on a rational algebra it reduces primitive integer columns: with
+a and b the entries of the earlier column q and of the column r at their
+common low and g = gcd(a, b), r <- (a/g) r - (b/g) q, divided by its
+content (``linalg.clear_integer``, the row operation of the integer rref).
+Columns over Q(t) keep the field update r <- r - (b/a) q.
 
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
 is decided exactly: a top-weight class survives to the last page iff it is
@@ -48,8 +54,9 @@ import math
 from dataclasses import dataclass
 from .cochain import Form, cohomology, d_monomial, differential, monomials_by_weight
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
-from .linalg import (Matrix, SpanSolver, Subspace, kernel_basis, pfaffian,
-                     vec_axpy_into, vec_combination)
+from .linalg import (Matrix, SpanSolver, Subspace, all_rational, clear_integer,
+                     integer_row, kernel_basis, pfaffian, vec_axpy_into,
+                     vec_combination)
 
 
 class FiltrationUndefined(ValueError):
@@ -132,7 +139,9 @@ class _PageComputer:
         reduced columns that share their low; a column left nonzero pairs
         with its low.  The column of a low of d on (p-1)-forms reduces to
         zero (its d is d of earlier columns, as d^2 = 0), so it is skipped
-        (clearing).  Cached per degree.
+        (clearing).  On a rational algebra the columns are primitive integer
+        vectors reduced by ``clear_integer``, a nonzero multiple of the field
+        update, so every low is the same.  Cached per degree.
         """
         got = self._pairings.get(p)
         if got is not None:
@@ -141,11 +150,14 @@ class _PageComputer:
         gaps: dict = {}
         rows, row_weights = self.bases[p + 1], self.weights[p + 1]
         pos = {idx: i for i, idx in enumerate(rows)}
+        integral = all_rational(self.algebra.dual_table)
         by_low: dict = {}  # low row -> reduced column
         for idx, w in zip(self.bases[p], self.weights[p]):
             if idx in cleared:
                 continue
             col = {pos[m]: c for m, c in self.d_of(idx).items()}
+            if integral:
+                col = integer_row(col)
             while col:
                 low = max(col)
                 other = by_low.get(low)
@@ -153,7 +165,10 @@ class _PageComputer:
                     by_low[low] = col
                     gaps[idx] = gaps[rows[low]] = w - row_weights[low]
                     break
-                vec_axpy_into(col, -col[low] / other[low], other)
+                if integral:
+                    col = clear_integer(col, other, low)
+                else:
+                    vec_axpy_into(col, -col[low] / other[low], other)
         self._pairings[p] = gaps
         return gaps
 

@@ -41,6 +41,34 @@ def test_check_fails_on_broken_jacobi(tmp_path, capsys):
     assert doc["result"]["jacobi_violations"][0][:3] == [1, 2, 3]
 
 
+def test_check_sl2_is_not_nilpotent(tmp_path, capsys):
+    # C^2 = sl2 = g, so no unit vector lies off C^2 and the central series
+    # falls back to bracketing with every basis vector
+    sl2 = {"dim": 3, "brackets": [[1, 2, [[2, "2"]]], [1, 3, [[3, "-2"]]],
+                                  [2, 3, [[1, "1"]]]]}
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(sl2))
+    code, doc = run(capsys, "check", str(path))
+    assert code == 0
+    assert doc["result"]["jacobi_ok"]
+    assert doc["result"]["nilpotent"] is False
+    assert not doc["result"]["filiform"]
+    assert doc["result"]["central_series_dims"] == [3, 3]
+
+
+def test_check_series_of_a_non_jacobi_table_brackets_every_basis_vector(tmp_path, capsys):
+    # e3 and e5 are off the pivots of C^2, but without the Jacobi identity
+    # they need not generate; bracketing with them alone gives [5, 3, 2, 1, 0]
+    doc = {"dim": 5, "brackets": [[1, 5, [[4, "2"]]], [2, 4, [[4, "1"]]],
+                                  [3, 4, [[2, "2"]]], [3, 5, [[1, "2"]]]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "check", str(path))
+    assert code == 1 and not out["result"]["jacobi_ok"]
+    assert out["result"]["central_series_dims"] == [5, 3, 2, 2]
+    assert out["result"]["nilpotent"] is False
+
+
 def test_check_m1_reports_filiform_but_not_graded(tmp_path, capsys):
     path = write_algebra(tmp_path, "m1", n=8)
     code, doc = run(capsys, "check", path)

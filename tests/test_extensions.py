@@ -7,7 +7,7 @@ import pytest
 from filiform import catalog
 from filiform.cochain import Form, cohomology, d_matrix, lambda_basis
 from filiform.extensions import (CenterNotOneDimensional, ExtensionCocycle,
-                                 NotGradedFiliform, _filiform_split,
+                                 NotGradedFiliform, _family_top, _filiform_split,
                                  _top_weight_reps, central_extension,
                                  chain_constants, classify_graded,
                                  enumerate_graded_filiform, extension_cocycle_of,
@@ -301,6 +301,18 @@ def test_g11_extension_exceptional_at_8():
     ext_cocycle = cohomology(catalog.build("g11", alpha=8), 2, weight=12).representatives[0]
     ext = central_extension(ExtensionCocycle(catalog.build("g11", alpha=8), ext_cocycle))
     assert graded_isomorphic(ext, catalog.build("V", n=12))
+
+
+@pytest.mark.parametrize("name", ["g7", "g8", "g9", "g10", "g11"])
+def test_family_top_is_one_elimination_of_two_routes(name):
+    # H^2 of weight n + 1 and the rank-drop candidates from one elimination
+    fam = catalog.family_symbolic(name)
+    n = fam.dim
+    src = lambda_basis(n, 2, fam.weights, n + 1)
+    tgt = lambda_basis(n, 3, fam.weights, n + 1)
+    reps, drops = _family_top(fam)
+    assert reps == _top_weight_reps(fam)
+    assert drops == rank_drop_candidates(d_matrix(fam, src, tgt))
 
 
 def test_classify_graded_names():

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filiform.linalg import (Matrix, SpanSolver, Subspace, _eliminate, kernel_basis,
-                             rank, rank_drop_candidates, rref, solve_in_span,
-                             vec_axpy)
+                             kernel_and_rank_drops, pivot_columns, rank,
+                             rank_drop_candidates, rref, solve_in_span, vec_axpy)
 from filiform.scalars import RatFunc, scalar_at
 
 
@@ -326,3 +326,35 @@ def test_rank_drop_candidates_contain_every_drop(rows, cols, data):
         at = Matrix(rows, cols, {k: scalar_at(v, t0) for k, v in m.entries.items()})
         if rank(at) < generic:
             assert t0 in cands, (t0, cands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_kernel_and_rank_drops_is_both_routes(rows, cols, data):
+    t = RatFunc.t()
+    entries = {}
+    for r in range(rows):
+        for c in range(cols):
+            coeff = data.draw(st.integers(-2, 2))
+            for _ in range(data.draw(st.integers(0, 2))):
+                coeff = coeff * (t - data.draw(st.sampled_from(ROOTS)))
+            entries[(r, c)] = coeff
+    m = Matrix(rows, cols, entries)
+    assert kernel_and_rank_drops(m) == (kernel_basis(m), rank_drop_candidates(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 6), st.data())
+def test_pivot_columns_are_the_rref_pivots(nrows, ncols, data):
+    # forward elimination only; rational rows and rows over Q(t)
+    t = RatFunc.t()
+    symbolic = data.draw(st.booleans())
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for c in range(ncols):
+            v = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+            if v:
+                row[c] = v * (t - data.draw(st.sampled_from(ROOTS))) if symbolic else v
+        rows.append(row)
+    assert pivot_columns(rows) == rref(rows)[0]

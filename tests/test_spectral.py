@@ -115,6 +115,43 @@ def test_page_dimensions_match_build_pages(built):
         assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
 
 
+def reference_pairing(comp, p):
+    """The persistence pairing by the field update on Fraction columns, with
+    no clearing: {paired monomial: gap}."""
+    from filiform.linalg import vec_axpy_into
+    gaps = {}
+    rows, row_weights = comp.bases[p + 1], comp.weights[p + 1]
+    pos = {idx: i for i, idx in enumerate(rows)}
+    by_low = {}
+    for idx, w in zip(comp.bases[p], comp.weights[p]):
+        col = {pos[m]: Fraction(c) for m, c in comp.d_of(idx).items()}
+        while col:
+            low = max(col)
+            other = by_low.get(low)
+            if other is None:
+                by_low[low] = col
+                gaps[idx] = gaps[rows[low]] = w - row_weights[low]
+                break
+            vec_axpy_into(col, -col[low] / other[low], other)
+    return gaps
+
+
+PAIRING_CASES = DEFORMATIONS + [
+    ("(23) at -1/2,2/3,-3/2", catalog.build(
+        "deformation_23", alphas=(Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)))),
+    ("(21) dim 9 at 2/3", catalog.build("deformation_21", n=9, alphas=(Fraction(2, 3),))),
+    ("t=2 dim 8 at -3/2", catalog.build("abelian_commutant", n=8, t=2,
+                                        alphas=(Fraction(-3, 2),))),
+]
+
+
+@pytest.mark.parametrize("label, a", PAIRING_CASES, ids=[c[0] for c in PAIRING_CASES])
+def test_integer_pairing_matches_fraction_pairing(label, a):
+    comp = _PageComputer(adapted_basis(a).algebra)
+    for p in range(a.dim):
+        assert comp.pairing(p) == reference_pairing(comp, p), (label, p)
+
+
 def test_survival_builds_only_low_degree_bases(monkeypatch):
     import filiform.spectral as spectral
     built_degrees = []

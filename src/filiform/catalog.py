@@ -19,8 +19,6 @@ from .cochain import Form
 from .lie import LieAlgebra
 from .scalars import RatFunc, as_scalar, rat
 
-_half = Fraction(1, 2)
-
 
 class GuardViolated(ValueError):
     pass
@@ -390,14 +388,6 @@ def form_v_general(k: int, gamma=1, gamma5=0, gamma7=0) -> Form:
     out = out.add(Form(2, {(2, 3): _as_param(gamma5)}))
     g7 = _as_param(gamma7)
     return out.add(Form(2, {(2, 5): g7, (3, 4): -3 * g7}))
-
-
-def form_g_general(n: int, alpha, gamma=1, gamma5=0, gamma7=0) -> Form:
-    base = form_g8_symplectic(alpha) if n == 8 else form_g10_symplectic(alpha)
-    out = base.scale(_as_param(gamma))
-    out = out.add(Form(2, {(2, 3): _as_param(gamma5)}))
-    g7 = _as_param(gamma7)
-    return out.add(Form(2, {(2, 5): g7, (3, 4): -g7}))
 
 
 def printed_form(name: str, **params) -> Form:

@@ -14,6 +14,7 @@ canonical (sorted keys), so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -66,8 +67,13 @@ def _emit(report: dict, human: str | None = None) -> None:
         print(human, file=sys.stderr)
 
 
-def _form_pairs(form) -> list:
-    return form.to_pairs()
+def _obstruction(verdict) -> dict:
+    """The page, class and image of a spectral obstruction witness."""
+    return {
+        "page": verdict.obstruction_page,
+        "class": verdict.obstruction_source.to_pairs(),
+        "image": verdict.obstruction_image.to_pairs(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +118,7 @@ def cmd_cohomology(args) -> int:
             "degree": args.degree,
             "weight": args.weight,
             "dim": block.dim,
-            "representatives": [_form_pairs(f) for f in block.representatives],
+            "representatives": [f.to_pairs() for f in block.representatives],
         },
     }
     _emit(report)
@@ -156,17 +162,12 @@ def cmd_symplectic(args) -> int:
         raise InputError(str(exc)) from exc
     result = {"exists": cert.exists}
     if cert.exists:
-        result["form"] = _form_pairs(cert.form)
-        result["top_power"] = _form_pairs(cert.top_power)
+        result["form"] = cert.form.to_pairs()
+        result["top_power"] = cert.top_power.to_pairs()
     else:
         result["reason"] = cert.reason
         if cert.reason == "SpectralObstruction":
-            v = cert.witness
-            result["obstruction"] = {
-                "page": v.obstruction_page,
-                "class": _form_pairs(v.obstruction_source),
-                "image": _form_pairs(v.obstruction_image),
-            }
+            result["obstruction"] = _obstruction(cert.witness)
     _emit({"command": "symplectic", "input": digest, "result": result})
     return 0
 
@@ -179,8 +180,8 @@ def cmd_contact(args) -> int:
         raise InputError(str(exc)) from exc
     result = {"exists": cert is not None}
     if cert is not None:
-        result["form"] = _form_pairs(cert.form)
-        result["volume"] = _form_pairs(cert.volume)
+        result["form"] = cert.form.to_pairs()
+        result["volume"] = cert.volume.to_pairs()
     else:
         result["reason"] = "defining polynomial vanishes identically"
     _emit({"command": "contact", "input": digest, "result": result})
@@ -206,13 +207,9 @@ def cmd_spectral(args) -> int:
     if verdict is not None:
         result["symplectic_survival"] = {"survives": verdict.survives}
         if verdict.survives:
-            result["symplectic_survival"]["lift"] = _form_pairs(verdict.lift)
+            result["symplectic_survival"]["lift"] = verdict.lift.to_pairs()
         elif verdict.obstruction_page is not None:
-            result["symplectic_survival"]["obstruction"] = {
-                "page": verdict.obstruction_page,
-                "class": _form_pairs(verdict.obstruction_source),
-                "image": _form_pairs(verdict.obstruction_image),
-            }
+            result["symplectic_survival"]["obstruction"] = _obstruction(verdict)
     human = ["spectral pages (E_r block dimensions as p, q, dim):"]
     for t in tables if args.report else []:
         human.append(f"  r = {t['r']}: " + "  ".join(
@@ -254,7 +251,10 @@ def cmd_catalog(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it
+    unchanged)."""
     ap = argparse.ArgumentParser(
         prog="filiform",
         description="exact computations on nilpotent/filiform Lie algebras")

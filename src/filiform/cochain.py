@@ -17,13 +17,16 @@ w(i_1) + ... + w(i_p) and d preserves it, so cohomology splits into weight
 blocks H^p_(w); block-wise computation is also much faster and is the
 default on graded input.  :func:`monomials_by_weight` enumerates a degree
 once and buckets its monomials by weight, each bucket in lexicographic
-order; every weight block is read from it.
+order; every weight block is read from it.  A block of H^p needs only the
+monomials of degrees p and p - 1: d of a weight-w cochain has weight w, so
+the degree p + 1 monomials are never enumerated.
 
 Representatives returned by :func:`cohomology` are canonical: the cocycles
 reduced modulo the coboundary space B, in reduced row echelon form over the
-lexicographic monomial order.  Each block reads them off one kernel: the
-cocycles that vanish at B's pivot monomials form a complement of B in the
-cocycles, and they are exactly the reduced ones (see ``_block``).
+lexicographic monomial order.  Each block reads them off one kernel of d
+(``linalg.kernel_of_map``): the cocycles that vanish at B's pivot monomials
+form a complement of B in the cocycles, and they are exactly the reduced
+ones (see ``_block``).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Vec, kernel_basis, pivot_columns, rref,
+from .linalg import (Matrix, Vec, kernel_of_map, pivot_columns, rref,
                      solve_in_span, vec_combination)
 from .lie import LieAlgebra
 from .scalars import as_scalar, format_rat, rat, scalar_at
@@ -279,10 +282,10 @@ class CohomologyBlock:
         return list(self.representatives)
 
 
-def _block(a: LieAlgebra, p: int, src: list[tuple], tgt: list[tuple],
+def _block(a: LieAlgebra, p: int, src: list[tuple],
            below: list[tuple]) -> list[Form]:
-    """Canonical H^p representatives over the degree-p monomials src; tgt
-    and below are the degree p+1 and p-1 monomials of the same block.
+    """Canonical H^p representatives over the degree-p monomials src; below
+    are the degree p-1 monomials of the same block.
 
     The coboundaries B = d(below) lie in the cocycles Z, as d^2 = 0.  For
     z in Z, subtracting z's entries at B's pivot monomials times B's RREF
@@ -300,9 +303,8 @@ def _block(a: LieAlgebra, p: int, src: list[tuple], tgt: list[tuple],
         return [Form(0, {(): 1})]
     bound = set(pivot_columns([d_monomial(a, idx) for idx in below]))
     free = [idx for idx in src if idx not in bound]
-    kern = kernel_basis(d_matrix(a, free, tgt))
-    _, rows = rref([{free[c]: v for c, v in vec.items()} for vec in kern])
-    return [Form(p, r) for r in rows]
+    kern = kernel_of_map(free, [d_monomial(a, idx) for idx in free])
+    return [Form(p, r) for r in rref(kern)[1]]
 
 
 def cohomology(a: LieAlgebra, p: int, weight: int | None = None,
@@ -318,14 +320,13 @@ def cohomology(a: LieAlgebra, p: int, weight: int | None = None,
         raise ValueError(f"degree {p} outside 0..{a.dim}")
     if weight is not None and a.weights is None:
         raise WeightsMissing("weight restriction requires a graded algebra")
-    degrees = (p, p + 1, p - 1)
     if weight is None and (a.weights is None or blocked is False):
-        reps = _block(a, p, *(lambda_basis(a.dim, q) for q in degrees))
+        reps = _block(a, p, lambda_basis(a.dim, p), lambda_basis(a.dim, p - 1))
         return CohomologyBlock(p, None, tuple(reps), len(reps))
-    src, tgt, below = (monomials_by_weight(a.dim, q, a.weights) for q in degrees)
+    src, below = (monomials_by_weight(a.dim, q, a.weights) for q in (p, p - 1))
     reps = []
     for w in (src if weight is None else [weight]):
-        reps.extend(_block(a, p, src.get(w, []), tgt.get(w, []), below.get(w, [])))
+        reps.extend(_block(a, p, src.get(w, []), below.get(w, [])))
     return CohomologyBlock(p, weight, tuple(reps), len(reps))
 
 

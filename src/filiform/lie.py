@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import (SpanSolver, Subspace, Vec, kernel_of_rows, vec_add, vec_axpy,
+from .linalg import (SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy,
                      vec_scale, vec_sub)
 from .scalars import RatFunc, as_scalar, format_rat, rat, scalar_at
 
@@ -302,16 +302,13 @@ def center(a: LieAlgebra) -> Subspace:
 
 
 def centralizer(a: LieAlgebra, s: Subspace) -> Subspace:
-    """{x in g : [x, s] = 0}, computed as the kernel of a constraint system."""
-    rows = []
-    for v in s.basis():
-        per_output: dict[int, Vec] = {}
-        for i in range(1, a.dim + 1):
-            w = a.bracket_vec({i: as_scalar(1)}, v)
-            for k, c in w.items():
-                per_output.setdefault(k, {})[i] = c
-        rows.extend(per_output.values())
-    return Subspace.span(kernel_of_rows(rows, list(range(1, a.dim + 1))))
+    """{x in g : [x, s] = 0}: the kernel of x -> ([x, v] for v in s.basis()),
+    its images keyed by (basis index, output index)."""
+    basis = s.basis()
+    images = [{(t, k): c for t, v in enumerate(basis)
+               for k, c in a.bracket_vec({i: as_scalar(1)}, v).items()}
+              for i in range(1, a.dim + 1)]
+    return Subspace.span(kernel_of_map(list(range(1, a.dim + 1)), images))
 
 
 # ---------------------------------------------------------------------------
@@ -558,21 +555,14 @@ def m0_certificate(g: LieAlgebra) -> list[Vec] | None:
     if len(ones) != 2:
         raise ValueError("expected a two-dimensional bottom level")
     higher = [i for i in range(1, g.dim + 1) if g.weights[i - 1] >= 2]
-    rows = []
-    for h in higher:
-        per_output: dict[int, Vec] = {}
-        for idx, one in enumerate(ones):
-            w = g.bracket_vec({one: as_scalar(1)}, {h: as_scalar(1)})
-            for k, c in w.items():
-                per_output.setdefault(k, {})[idx] = c
-        rows.extend(per_output.values())
-    kernel = kernel_of_rows(rows, [0, 1])
+    # the weight-1 vectors v with [v, h] = 0 for every h of weight >= 2
+    images = [{(h, k): c for h in higher
+               for k, c in g.bracket_vec({one: as_scalar(1)}, {h: as_scalar(1)}).items()}
+              for one in ones]
+    kernel = kernel_of_map(ones, images)
     if not kernel:
         return None
-    coeffs = kernel[0]
-    v = {}
-    for idx, c in coeffs.items():
-        v = vec_axpy(v, c, {ones[idx]: as_scalar(1)})
+    v = kernel[0]
     u = None
     for one in ones:
         cand = {one: as_scalar(1)}

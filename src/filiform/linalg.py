@@ -4,18 +4,19 @@ Vectors are sparse dicts ``{column: scalar}``; matrices store a sparse
 ``{(row, col): scalar}`` map.  Everything is computed by exact Gaussian
 elimination, with reduced row echelon form as the canonical shape so that
 kernel bases, cohomology representatives and spectral-sequence blocks are
-deterministic.  One elimination scaffold, ``_echelon``, keeps work rows
-bucketed by leading column and runs both eliminators.  ``rref`` (and so the
-kernels, ``Subspace.span`` and ``quotient_representatives``) runs on Python
-ints when every entry is a Fraction or an int (``_rref_integer``), which
-saves building a Fraction at every step; the RREF of a row space is unique,
-so its output is the one the field eliminator would give.  Its row
-operation, ``clear_integer``, is also the column update of the persistence
-pairing in ``spectral``, and ``pivot_columns`` runs only its forward pass.
-The field eliminator ``_eliminate`` works over Fraction or RatFunc and
-serves RatFunc rows, ``SpanSolver`` (whose tag coefficients depend on the
-pivot rows chosen when the generators are dependent) and
-``rank_drop_candidates``.
+deterministic.  Every kernel of a linear map given by the images of a basis
+(the cocycles, the Z_r spaces, centralizers) is ``kernel_of_map``.  One
+elimination scaffold, ``_echelon``, keeps work rows bucketed by leading
+column and runs both eliminators.  ``rref`` (and so the kernels,
+``Subspace.span`` and ``quotient_representatives``) runs on Python ints
+when every entry is a Fraction or an int (``_rref_integer``), which saves
+building a Fraction at every step; the RREF of a row space is unique, so
+its output is the one the field eliminator would give.  Its row operation,
+``clear_integer``, is also the column update of the persistence pairing in
+``spectral``, and ``pivot_columns`` runs only its forward pass.  The field
+eliminator ``_eliminate`` works over Fraction or RatFunc and serves RatFunc
+rows, ``SpanSolver`` (whose tag coefficients depend on the pivot rows
+chosen when the generators are dependent) and ``rank_drop_candidates``.
 """
 
 from __future__ import annotations
@@ -343,6 +344,22 @@ def _kernel_of_rref(pivots: list, red: list[Vec], columns) -> list[Vec]:
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Canonical basis of the null space of m, one vector per free column."""
     return kernel_of_rows(m.row_list(), range(m.cols))
+
+
+def kernel_of_map(source: list, images) -> list[Vec]:
+    """Canonical basis of {x : sum_i x[source[i]] * images[i] = 0}.
+
+    images[i] is the sparse image of source[i].  The columns are the
+    positions in source, not the sorted keys, and each kernel vector is
+    keyed by source: the result is ``kernel_basis`` of the matrix whose
+    columns are the images, remapped to source.
+    """
+    rows: dict = {}  # output key -> {position in source: coefficient}
+    for c, image in enumerate(images):
+        for k, v in image.items():
+            rows.setdefault(k, {})[c] = v
+    return [{source[c]: v for c, v in vec.items()}
+            for vec in kernel_of_rows(list(rows.values()), range(len(source)))]
 
 
 def _reduce(index: dict, v: Vec) -> tuple[Vec, list]:

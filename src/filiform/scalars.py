@@ -17,11 +17,7 @@ A "scalar" below means either a Fraction or a RatFunc; the linear algebra in
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
-
-Rat = Fraction
-
-ScalarLike = Union[int, str, Fraction, "RatFunc"]
+from typing import Iterable
 
 
 def rat(x) -> Fraction:
@@ -316,15 +312,6 @@ class RatFunc:
             raise ZeroDivisionError(f"denominator vanishes at t={t}")
         return self.num.eval(t) / d
 
-    def defined_at(self, t: Fraction) -> bool:
-        return self.den.eval(t) != 0
-
-    def as_fraction(self) -> Fraction:
-        """Constant rational functions collapse to a Fraction."""
-        if self.num.degree > 0 or self.den.degree > 0:
-            raise ValueError(f"{self!r} is not constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-
     def __repr__(self) -> str:
         if self.den == Poly.const(1):
             return f"({self.num!r})"
@@ -381,14 +368,6 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = MPoly.const(self.nvars, other)
-        return isinstance(other, MPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def _coerce(self, other) -> "MPoly":
         if isinstance(other, MPoly):
             return other
@@ -409,9 +388,6 @@ class MPoly:
 
     def __neg__(self):
         return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __mul__(self, other):
         o = self._coerce(other)

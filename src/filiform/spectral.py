@@ -52,11 +52,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .cochain import Form, cohomology, d_monomial, differential, monomials_by_weight
+from .cochain import (Form, betti_numbers, cohomology, d_monomial, differential,
+                      monomials_by_weight)
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
 from .linalg import (Matrix, SpanSolver, Subspace, all_rational, clear_integer,
-                     integer_row, kernel_basis, pfaffian, vec_axpy_into,
+                     integer_row, kernel_of_map, pfaffian, vec_axpy_into,
                      vec_combination)
+# an explicit re-export: the benchmark harness tests check that its tracer
+# patches this binding and restores it
+from .linalg import kernel_basis as kernel_basis
 
 
 class FiltrationUndefined(ValueError):
@@ -186,20 +190,11 @@ class _PageComputer:
         if got is not None:
             return got
         src = [idx for idx, wt in zip(self.bases[p], self.weights[p]) if wt <= w]
-        if not src:
-            self._z_cache[key] = []
-            return []
-        tgt = [idx for idx, wt in zip(self.bases[p + 1], self.weights[p + 1])
-               if w - r_eff < wt <= w]
-        pos = {idx: i for i, idx in enumerate(tgt)}
-        entries = {}
-        for c, idx in enumerate(src):
-            for m, val in self.d_of(idx).items():
-                row = pos.get(m)
-                if row is not None:
-                    entries[(row, c)] = val
-        kern = kernel_basis(Matrix(len(tgt), len(src), entries))
-        out = [{src[c]: v for c, v in vec.items()} for vec in kern]
+        # d keeps F_w, so dx in F_{w-r} is dx vanishing at the weights in (w-r, w]
+        low = w - r_eff
+        images = [{m: c for m, c in self.d_of(idx).items() if low < sum(m) <= w}
+                  for idx in src]
+        out = kernel_of_map(src, images)
         self._z_cache[key] = out
         return out
 
@@ -265,7 +260,7 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
     """
     b = _filtered_algebra(a, adapted)
     comp = _PageComputer(b)
-    betti = [cohomology(b, p, blocked=False).dim for p in range(b.dim + 1)]
+    betti = betti_numbers(b)
     if r_max is None:
         r_max = 2 * b.dim + 1
     pages = []

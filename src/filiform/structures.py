@@ -33,7 +33,7 @@ from math import factorial
 from .cochain import Form, _merge_sign, d_monomial, differential, lambda_basis
 from .extensions import ExtensionCocycle, central_extension
 from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis, gr_l
-from .linalg import kernel_basis, pfaffian, vec_combination
+from .linalg import kernel_of_map, pfaffian, vec_combination
 from .scalars import MPoly, as_scalar
 
 
@@ -199,10 +199,7 @@ def _poly_wedge_power(coeffs: dict, k: int) -> dict:
 def closed_two_form_basis(a: LieAlgebra) -> list[Form]:
     """Canonical basis of the closed 2-forms."""
     src = lambda_basis(a.dim, 2)
-    tgt = lambda_basis(a.dim, 3)
-    from .cochain import d_matrix
-    kern = kernel_basis(d_matrix(a, src, tgt))
-    return [Form(2, {src[c]: v for c, v in vec.items()}) for vec in kern]
+    return [Form(2, v) for v in kernel_of_map(src, [d_monomial(a, idx) for idx in src])]
 
 
 # ---------------------------------------------------------------------------

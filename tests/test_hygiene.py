@@ -1,0 +1,89 @@
+"""Static hygiene of the package, read with ``ast`` only.
+
+No module but ``__init__`` (which re-exports) imports a name it never uses,
+and every module-level private name is referenced somewhere in ``src/`` or
+``tests/``, so dead helpers are noticed when their last caller goes.  An
+import of the form ``from m import x as x`` is an explicit re-export (the
+PEP 484 convention) and counts as used.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "filiform"
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """{bound name: line} of every import in the module, explicit re-exports
+    excepted."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.asname != alias.name:
+                    out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """The names the module reads and the attributes it takes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """{name: line} of the module-level private functions, classes and
+    assignments (dunder names excluded)."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def modules() -> list[Path]:
+    return sorted(PACKAGE.glob("*.py"))
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in modules():
+        if path.name == "__init__.py":
+            continue
+        tree = parse(path)
+        used = used_names(tree)
+        for name, line in imported_names(tree).items():
+            if name not in used:
+                unused.append(f"{path.name}:{line} {name}")
+    assert not unused, unused
+
+
+def test_every_private_name_is_referenced():
+    referenced = set()
+    for path in [*modules(), *sorted((ROOT / "tests").glob("*.py"))]:
+        referenced |= used_names(parse(path))
+    dead = [f"{path.name}:{line} {name}" for path in modules()
+            for name, line in private_definitions(parse(path)).items()
+            if name not in referenced]
+    assert not dead, dead

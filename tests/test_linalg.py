@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filiform.linalg import (Matrix, SpanSolver, Subspace, _eliminate, kernel_basis,
-                             kernel_and_rank_drops, pivot_columns, rank,
-                             rank_drop_candidates, rref, solve_in_span, vec_axpy)
+                             kernel_and_rank_drops, kernel_of_map, pivot_columns,
+                             rank, rank_drop_candidates, rref, solve_in_span,
+                             vec_axpy)
 from filiform.scalars import RatFunc, scalar_at
 
 
@@ -358,3 +359,32 @@ def test_pivot_columns_are_the_rref_pivots(nrows, ncols, data):
                 row[c] = v * (t - data.draw(st.sampled_from(ROOTS))) if symbolic else v
         rows.append(row)
     assert pivot_columns(rows) == rref(rows)[0]
+
+
+def test_kernel_of_map_keeps_the_source_order():
+    # columns follow source, not the sorted keys; no images, no kernel
+    assert kernel_of_map([], []) == []
+    assert kernel_of_map([(2,), (1,)], [{}, {}]) == [{(2,): 1}, {(1,): 1}]
+    assert kernel_of_map([(2,), (1,)], [{"y": 1}, {"y": 1}]) == [{(2,): -1, (1,): 1}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), unique=True,
+                max_size=6),
+       st.integers(0, 4), st.data())
+def test_kernel_of_map_is_kernel_basis_of_the_image_columns(source, nout, data):
+    # unsorted tuple keys; images over Q or Q(t), some of them zero
+    t = RatFunc.t()
+    symbolic = data.draw(st.booleans())
+    images = []
+    for _ in source:
+        image = {}
+        for k in range(nout if data.draw(st.booleans()) else 0):
+            v = Fraction(data.draw(st.integers(-3, 3)), data.draw(st.integers(1, 3)))
+            if v:
+                image[("out", k)] = v * (t - data.draw(st.sampled_from(ROOTS))) if symbolic else v
+        images.append(image)
+    m = Matrix(nout, len(source), {(k, c): v for c, image in enumerate(images)
+                                   for (_, k), v in image.items()})
+    expected = [{source[c]: v for c, v in vec.items()} for vec in kernel_basis(m)]
+    assert kernel_of_map(source, images) == expected

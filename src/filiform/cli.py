@@ -14,7 +14,6 @@ canonical (sorted keys), so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import sys
@@ -251,10 +250,7 @@ def cmd_catalog(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process (parse_args leaves it
-    unchanged)."""
     ap = argparse.ArgumentParser(
         prog="filiform",
         description="exact computations on nilpotent/filiform Lie algebras")

@@ -23,7 +23,7 @@ from .extensions import enumerate_graded_filiform
 from .lie import (LieAlgebra, adapted_basis, central_series, grading_violations,
                   is_filiform, jacobi_check)
 from .scalars import format_rat, rat
-from .spectral import degree_totals, page_dimensions, symplectic_survival
+from .spectral import degree_totals, pages_and_survival
 from .structures import contact_exists, symplectic_exists
 
 
@@ -190,9 +190,7 @@ def cmd_contact(args) -> int:
 def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
-        adapted = adapted_basis(a)
-        pages = page_dimensions(a, adapted)
-        verdict = symplectic_survival(a, adapted) if a.dim % 2 == 0 else None
+        pages, verdict = pages_and_survival(a, adapted_basis(a))
     except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     tables = []
@@ -250,53 +248,68 @@ def cmd_catalog(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_ALGEBRA = ("algebra", {})
+
+# name -> (handler, help, [(argument, add_argument keywords)])
+_COMMANDS = {
+    "check": (cmd_check, "Jacobi, nilpotency and filiform report", [_ALGEBRA]),
+    "cohomology": (cmd_cohomology, "H^p, optionally one weight block", [
+        _ALGEBRA,
+        ("--degree", {"type": int, "required": True}),
+        ("--weight", {"type": int, "default": None})]),
+    "classify-graded": (cmd_classify,
+                        "list the N-graded filiform classes of a dimension",
+                        [("--dim", {"type": int, "required": True})]),
+    "symplectic": (cmd_symplectic, "decide symplectic existence", [_ALGEBRA]),
+    "contact": (cmd_contact, "search for a contact form", [_ALGEBRA]),
+    "spectral": (cmd_spectral, "weight-filtration spectral sequence", [
+        _ALGEBRA, ("--report", {"action": "store_true"})]),
+    "catalog": (cmd_catalog, "emit a named algebra as interchange JSON", [
+        ("--name", {"required": True}),
+        ("--dim", {"type": int}),
+        ("--alpha", {}),
+        ("--t", {"type": int}),
+        ("--alphas", {"help": "comma-separated rationals"}),
+        ("--emit", {})]),
+}
+
+
+def _parser(names) -> argparse.ArgumentParser:
+    """The command-line parser with the subcommands in names."""
     ap = argparse.ArgumentParser(
         prog="filiform",
         description="exact computations on nilpotent/filiform Lie algebras")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("check", help="Jacobi, nilpotency and filiform report")
-    p.add_argument("algebra")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("cohomology", help="H^p, optionally one weight block")
-    p.add_argument("algebra")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--weight", type=int, default=None)
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("classify-graded",
-                       help="list the N-graded filiform classes of a dimension")
-    p.add_argument("--dim", type=int, required=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("symplectic", help="decide symplectic existence")
-    p.add_argument("algebra")
-    p.set_defaults(fn=cmd_symplectic)
-
-    p = sub.add_parser("contact", help="search for a contact form")
-    p.add_argument("algebra")
-    p.set_defaults(fn=cmd_contact)
-
-    p = sub.add_parser("spectral", help="weight-filtration spectral sequence")
-    p.add_argument("algebra")
-    p.add_argument("--report", action="store_true")
-    p.set_defaults(fn=cmd_spectral)
-
-    p = sub.add_parser("catalog", help="emit a named algebra as interchange JSON")
-    p.add_argument("--name", required=True)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--alpha")
-    p.add_argument("--t", type=int)
-    p.add_argument("--alphas", help="comma-separated rationals")
-    p.add_argument("--emit")
-    p.set_defaults(fn=cmd_catalog)
+    for name in names:
+        fn, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in arguments:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with only the parser of the subcommand it names.
+
+    A subcommand's parser, its help and its errors do not depend on the
+    other subcommands.  The full parser's own messages do (its usage lists
+    every subcommand), so it parses -h, no arguments, an unknown command
+    and arguments that the subcommand leaves over.
+    """
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _parser(argv[:1]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except InputError as exc:

@@ -228,16 +228,23 @@ def classify_graded(a: LieAlgebra) -> tuple[str, Fraction | None]:
     classification name only from dimension 12 on; below that its instances
     fold into m0, m2 or the families.
     """
+    return _classify(a, {})
+
+
+def _classify(a: LieAlgebra, forms: dict) -> tuple[str, Fraction | None]:
+    """``classify_graded(a)``; forms memoizes the catalog candidates' normal
+    forms by (name, n), None where the catalog has no such candidate."""
     n = a.dim
     target = _normal_form(a)
     for name in _NAMED_ORDER:
         if name == "V" and n < 12:
             continue
-        try:
-            cand = catalog.build(name, n=n)
-        except (catalog.GuardViolated, KeyError):
-            continue
-        if _normal_form(cand) == target:
+        if (name, n) not in forms:
+            try:
+                forms[(name, n)] = _normal_form(catalog.build(name, n=n))
+            except (catalog.GuardViolated, KeyError):
+                forms[(name, n)] = None
+        if forms[(name, n)] == target:
             return name, None
     if 7 <= n <= 11:
         alpha = family_parameter_match(a, f"g{n}")
@@ -285,7 +292,7 @@ def _filiform_split(reps: list[Form], n: int) -> tuple[Form | None, list[Form]]:
     return (lead[0] if lead else None), rest
 
 
-def _extend_concrete(cls: GradedIsoClass) -> list[GradedIsoClass]:
+def _extend_concrete(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
     """Extensions of one concrete class: the admissible cocycles form a line
     u + beta*w (or a point), and the resulting classes are read off the line.
     """
@@ -295,7 +302,7 @@ def _extend_concrete(cls: GradedIsoClass) -> list[GradedIsoClass]:
     if u is None:
         return []
     if not rest:
-        return [_concrete_class(central_extension(ExtensionCocycle(a, u)))]
+        return [_concrete_class(central_extension(ExtensionCocycle(a, u)), forms)]
     if len(rest) > 1:
         raise AssertionError("unexpected cocycle space of dimension > 2")
     w = rest[0]
@@ -313,16 +320,16 @@ def _extend_concrete(cls: GradedIsoClass) -> list[GradedIsoClass]:
         else:
             groups.append([i])
     if len(groups) == 1:
-        return [_concrete_class(samples[0])]
+        return [_concrete_class(samples[0], forms)]
     if len(groups) == 2 and sorted(map(len, groups)) == [1, 3]:
         # the line carries exactly two classes (the m0(2k) extension picture)
-        return [_concrete_class(samples[grp[0]]) for grp in groups]
+        return [_concrete_class(samples[grp[0]], forms) for grp in groups]
     if len(groups) == 4:
-        return _family_from_line(a, u, w, samples)
+        return _family_from_line(a, u, w, samples, forms)
     raise AssertionError("unexpected class pattern on the extension line")
 
 
-def _family_from_line(a, u, w, samples) -> list[GradedIsoClass]:
+def _family_from_line(a, u, w, samples, forms) -> list[GradedIsoClass]:
     """A genuine one-parameter family on the line u + beta*w.
 
     The finitely many members with [e_3, e_4] = 0 fall outside the g-family
@@ -342,7 +349,7 @@ def _family_from_line(a, u, w, samples) -> list[GradedIsoClass]:
         raise AssertionError("line not matching a g-family shape")
     for beta in sorted(exceptional):
         out.append(_concrete_class(
-            central_extension(ExtensionCocycle(a, u.add(w.scale(beta))))))
+            central_extension(ExtensionCocycle(a, u.add(w.scale(beta)))), forms))
     anchor = None
     for beta, m in enumerate(samples):
         if Fraction(beta) in exceptional:
@@ -358,8 +365,8 @@ def _family_from_line(a, u, w, samples) -> list[GradedIsoClass]:
     return out
 
 
-def _concrete_class(a: LieAlgebra) -> GradedIsoClass:
-    name, param = classify_graded(a)
+def _concrete_class(a: LieAlgebra, forms: dict) -> GradedIsoClass:
+    name, param = _classify(a, forms)
     return GradedIsoClass(name, a.dim, a, param)
 
 
@@ -379,7 +386,7 @@ def _family_top(fam: LieAlgebra) -> tuple[list[Form], list]:
     return [Form(2, r) for r in rows], drops
 
 
-def _extend_family(cls: GradedIsoClass) -> list[GradedIsoClass]:
+def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
     """Extensions of a symbolic family: the generic lane plus exact
     treatment of the exceptional parameter values."""
     fam = cls.algebra
@@ -417,7 +424,8 @@ def _extend_family(cls: GradedIsoClass) -> list[GradedIsoClass]:
                 continue
             if irest:
                 raise AssertionError("unexpected exceptional cocycle space")
-            out.append(_concrete_class(central_extension(ExtensionCocycle(inst, iu))))
+            out.append(_concrete_class(central_extension(ExtensionCocycle(inst, iu)),
+                                       forms))
     return out
 
 
@@ -484,11 +492,13 @@ def enumerate_graded_filiform(n: int) -> list[GradedIsoClass]:
     """
     if n < 3:
         raise ValueError("filiform algebras start in dimension 3")
-    level = [_concrete_class(catalog.build("m0", n=3))]
+    forms: dict = {}  # the candidates' normal forms, for this call only
+    level = [_concrete_class(catalog.build("m0", n=3), forms)]
     for m in range(3, n):
         nxt: list[GradedIsoClass] = []
         for cls in level:
-            nxt.extend(_extend_family(cls) if cls.is_family else _extend_concrete(cls))
+            extend = _extend_family if cls.is_family else _extend_concrete
+            nxt.extend(extend(cls, forms))
         level = _dedupe(nxt)
         log.debug("dimension %d: %s", m + 1, [c.label() for c in level])
     return level

@@ -5,18 +5,27 @@ Vectors are sparse dicts ``{column: scalar}``; matrices store a sparse
 elimination, with reduced row echelon form as the canonical shape so that
 kernel bases, cohomology representatives and spectral-sequence blocks are
 deterministic.  Every kernel of a linear map given by the images of a basis
-(the cocycles, the Z_r spaces, centralizers) is ``kernel_of_map``.  One
-elimination scaffold, ``_echelon``, keeps work rows bucketed by leading
+(the cocycles, the Z_r spaces, centralizers) is ``kernel_of_map``, which
+eliminates along the shorter side of the map.  With at most as many
+distinct outputs as sources it reduces the transposed map, one row per
+output, and reads the kernel off the RREF.  With more outputs, as for the
+cocycles of a weight block, it tags each image with its source position
+and keeps the rows of a forward echelon pass whose image part vanished.
+Both routes give the RREF of the kernel with the source positions in
+descending order, and an RREF is unique, so they return the same vectors.
+
+One elimination scaffold, ``_echelon``, keeps work rows bucketed by leading
 column and runs both eliminators.  ``rref`` (and so the kernels,
 ``Subspace.span`` and ``quotient_representatives``) runs on Python ints
 when every entry is a Fraction or an int (``_rref_integer``), which saves
 building a Fraction at every step; the RREF of a row space is unique, so
 its output is the one the field eliminator would give.  Its row operation,
 ``clear_integer``, is also the column update of the persistence pairing in
-``spectral``, and ``pivot_columns`` runs only its forward pass.  The field
-eliminator ``_eliminate`` works over Fraction or RatFunc and serves RatFunc
-rows, ``SpanSolver`` (whose tag coefficients depend on the pivot rows
-chosen when the generators are dependent) and ``rank_drop_candidates``.
+``spectral``.  ``_echelon_rows`` runs only its forward pass, for
+``pivot_columns`` and the tagged kernels.  The field eliminator
+``_eliminate`` works over Fraction or RatFunc and serves RatFunc rows,
+``SpanSolver`` (whose tag coefficients depend on the pivot rows chosen
+when the generators are dependent) and ``rank_drop_candidates``.
 """
 
 from __future__ import annotations
@@ -224,7 +233,11 @@ def all_rational(rows) -> bool:
 
 def integer_row(row: Vec) -> Vec:
     """The primitive integer multiple of a row of Fractions or ints."""
-    scale = lcm(*(v.denominator for v in row.values()))
+    # a list, not a generator: a tuple built from a generator is allocated
+    # at the default length hint and shrunk in place, which moves one tuple
+    # from the size-10 free list to the size-len(row) one on every call;
+    # those free lists then fill to their cap and hold megabytes
+    scale = lcm(*[v.denominator for v in row.values()])
     if scale == 1:  # keep the numerators, allocate no new ints
         return _primitive({k: v.numerator for k, v in row.items()})
     return _primitive({k: v.numerator * (scale // v.denominator)
@@ -285,16 +298,27 @@ def _rref_integer(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     return [col for col, _ in order], out
 
 
+def _echelon_rows(rows: list[Vec]) -> tuple[list, list[Vec]]:
+    """(pivot columns ascending, one row per pivot): an echelon form of rows.
+
+    Each returned row leads at its pivot column.  Rational rows run only the
+    forward pass of the integer elimination (no back substitution, no
+    division by the leads) and come out as primitive integer rows; RatFunc
+    rows take the fully reducing field route of ``rref``.
+    """
+    if all_rational(rows):
+        order, work = _echelon_integer(rows, False)
+        return [col for col, _ in order], [work[i] for _, i in order]
+    return rref(rows)
+
+
 def pivot_columns(rows: list[Vec]) -> list:
     """The pivot columns of ``rref(rows)``, ascending.
 
-    Every echelon form of a row space has the same pivot columns, so
-    rational rows need only the forward pass of the integer elimination:
-    no back substitution and no division by the leads.
+    Every echelon form of a row space has the same pivot columns, so any
+    one will do (``_echelon_rows``).
     """
-    if all_rational(rows):
-        return [col for col, _ in _echelon_integer(rows, False)[0]]
-    return rref(rows)[0]
+    return _echelon_rows(rows)[0]
 
 
 def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
@@ -352,14 +376,66 @@ def kernel_of_map(source: list, images) -> list[Vec]:
     images[i] is the sparse image of source[i].  The columns are the
     positions in source, not the sorted keys, and each kernel vector is
     keyed by source: the result is ``kernel_basis`` of the matrix whose
-    columns are the images, remapped to source.
+    columns are the images, remapped to source.  That is one vector per
+    free position f, ascending, with entry 1 at f and its other entries at
+    positions before f, listed in ascending position.
+
+    The output keys are numbered by first appearance, so the keys of one
+    call need not be comparable.  The elimination runs along the shorter
+    side of the map.  With at most as many distinct output keys as
+    sources, each output key is a row of the transposed map and the kernel
+    is read off its RREF (``kernel_of_rows``).  With more output keys, each
+    image is a row tagged with its source position (``_kernel_by_tags``).
+    Both routes span the same kernel and return its one reduced basis with
+    the positions read in descending order, so they agree.
     """
-    rows: dict = {}  # output key -> {position in source: coefficient}
+    images = list(images)
+    index: dict = {}  # output key -> column, by first appearance
+    for image in images:
+        for k in image:
+            index.setdefault(k, len(index))
+    if len(index) > len(source):
+        kernel = _kernel_by_tags(images, index)
+    else:
+        rows: list[Vec] = [{} for _ in index]  # output -> {position: coefficient}
+        for c, image in enumerate(images):
+            for k, v in image.items():
+                rows[index[k]][c] = v
+        kernel = kernel_of_rows(rows, range(len(source)))
+    return [{source[c]: v for c, v in vec.items()} for vec in kernel]
+
+
+def _kernel_by_tags(images: list[Vec], index: dict) -> list[Vec]:
+    """``kernel_of_map`` keyed by source position, from the tagged images.
+
+    Image c becomes the row with its entries at the output columns of
+    index and 1 at the tag column len(index) + c, after every output
+    column.  In an echelon form of these rows, the rows led by a tag
+    column have a zero image part; since the tagged rows are independent,
+    those rows span the kernel, so one forward pass (``_echelon_rows``)
+    finds it.  The vector of free position f in the transposed route's
+    basis has 1 at f and zeros at the other free positions, and every
+    other entry lies before f: it is the RREF of the kernel with the
+    positions in descending order.  An RREF is unique, so the RREF of the
+    kept tag parts keyed by -position gives those vectors.
+    """
+    nout = len(index)
+    rows = []
     for c, image in enumerate(images):
-        for k, v in image.items():
-            rows.setdefault(k, {})[c] = v
-    return [{source[c]: v for c, v in vec.items()}
-            for vec in kernel_of_rows(list(rows.values()), range(len(source)))]
+        row = {index[k]: v for k, v in image.items()}
+        row[nout + c] = _ONE
+        rows.append(row)
+    pivots, echelon = _echelon_rows(rows)
+    # tag column j = nout + c is position c, keyed -c = nout - j
+    kept = [{nout - j: v for j, v in row.items()}
+            for p, row in zip(pivots, echelon) if p >= nout]
+    pivots, red = rref(kept)
+    out = []
+    for q, row in zip(reversed(pivots), reversed(red)):
+        vec = {-q: _ONE}
+        vec.update((-r, row[r]) for r in sorted(row, reverse=True) if r != q)
+        out.append(vec)
+    return out
 
 
 def _reduce(index: dict, v: Vec) -> tuple[Vec, list]:

@@ -306,16 +306,20 @@ def page_dimensions(a: LieAlgebra,
     it stops at the first page whose totals are the Betti numbers, and
     after at most 2 dim + 1 pages.
     """
-    b = _filtered_algebra(a, adapted)
-    comp = _PageComputer(b)
+    return _page_dimensions(_PageComputer(_filtered_algebra(a, adapted)))
+
+
+def _page_dimensions(comp: _PageComputer) -> list[dict]:
+    """``page_dimensions`` of the filtered complex of comp."""
+    n = comp.n
     gaps: dict = {}  # monomials absent from every pairing are unpaired
-    for p in range(b.dim):
+    for p in range(n):
         gaps.update(comp.pairing(p))
 
     def dims_on(r) -> dict:
         # an unpaired monomial counts on every page, r = inf included
         dims: dict = {}
-        for p in range(b.dim + 1):
+        for p in range(n + 1):
             for idx, w in zip(comp.bases[p], comp.weights[p]):
                 if gaps.get(idx, r) >= r:
                     dims[(w, p)] = dims.get((w, p), 0) + 1
@@ -323,7 +327,7 @@ def page_dimensions(a: LieAlgebra,
 
     betti = degree_totals(dims_on(math.inf))
     pages = []
-    for r in range(1, 2 * b.dim + 2):
+    for r in range(1, 2 * n + 2):
         pages.append(dims_on(r))
         if degree_totals(pages[-1]) == betti:
             break
@@ -359,11 +363,23 @@ def symplectic_survival(a: LieAlgebra,
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
-    b = _filtered_algebra(a, adapted)
+    return _survival(_PageComputer(_filtered_algebra(a, adapted)))
+
+
+def pages_and_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None
+                       ) -> tuple[list[dict], SurvivalVerdict | None]:
+    """(``page_dimensions(a, adapted)``, ``symplectic_survival(a, adapted)``
+    on an even dimension, else None) from one ``_PageComputer``, so the
+    survival test reuses the d images and the pairings of the pages."""
+    comp = _PageComputer(_filtered_algebra(a, adapted))
+    return _page_dimensions(comp), None if a.dim % 2 else _survival(comp)
+
+
+def _survival(comp: _PageComputer) -> SurvivalVerdict:
+    """``symplectic_survival`` on the even-dimensional complex of comp."""
+    b = comp.algebra
     n = b.dim
-    k = n // 2
-    comp = _PageComputer(b)
-    top = 2 * k + 1
+    top = n + 1  # the corner weight 2k + 1, n = 2k
     closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
 
     def leading(vec: dict) -> dict:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from filiform import catalog
+from filiform import catalog, cli
 from filiform.cli import main
 
 
@@ -297,3 +297,31 @@ def test_search_bound_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: FILIFORM_MAX_GRID must be an integer >= 1")
     assert "Traceback" not in captured.err
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(exit code or None, stdout, stderr, parsed namespace or None)."""
+    try:
+        ns = parse(argv)
+        code = None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err, ns
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--help"] for cmd in cli._COMMANDS),
+    *([cmd] for cmd in cli._COMMANDS),  # a required argument is missing
+    ["cohomology", "a.json", "--degree", "x"],
+    ["check", "a.json", "--bogus"],
+    ["spectral", "a.json", "b.json"],
+    ["catalog", "--name", "m0", "--dim", "5"],
+    ["cohomology", "a.json", "--degree", "3", "--weight", "7"],
+    ["-h"], [], ["bogus"]])
+def test_one_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+    assert _parse_outcome(cli._parse, argv, capsys) == full
+    if full[0] is not None:
+        assert full[2] or full[1]  # help on stdout or usage error on stderr

@@ -321,3 +321,24 @@ def test_classify_graded_names():
     assert classify_graded(catalog.build("V", n=13)) == ("V", None)
     assert classify_graded(catalog.build("g7", alpha=-2)) == ("m01", None)
     assert classify_graded(catalog.build("m02", n=12)) == ("m02", None)
+
+
+def test_enumeration_builds_each_candidate_once(monkeypatch):
+    # one enumeration memoizes the catalog candidates' normal forms by (name, n)
+    from collections import Counter
+    calls = Counter()
+    build = catalog.build
+
+    def counting(name, **params):
+        if "n" in params:
+            calls[(name, params["n"])] += 1
+        return build(name, **params)
+
+    monkeypatch.setattr(catalog, "build", counting)
+    expected = [c.label() for c in enumerate_graded_filiform(9)]
+    calls[("m0", 3)] -= 1  # the seed of the induction, built before any candidate
+    assert calls and max(calls.values()) == 1
+    calls.clear()
+    # the memo dies with the call: a second enumeration builds them again
+    assert [c.label() for c in enumerate_graded_filiform(9)] == expected
+    assert calls[("m0", 9)] == 1

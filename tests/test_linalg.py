@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from filiform.linalg import (Matrix, SpanSolver, Subspace, _eliminate, kernel_basis,
                              kernel_and_rank_drops, kernel_of_map, pivot_columns,
                              rank, rank_drop_candidates, rref, solve_in_span,
-                             vec_axpy)
+                             vec_axpy, vec_axpy_into)
 from filiform.scalars import RatFunc, scalar_at
 
 
@@ -388,3 +388,51 @@ def test_kernel_of_map_is_kernel_basis_of_the_image_columns(source, nout, data):
                                    for (_, k), v in image.items()})
     expected = [{source[c]: v for c, v in vec.items()} for vec in kernel_basis(m)]
     assert kernel_of_map(source, images) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.booleans(), st.data())
+def test_kernel_of_map_agrees_in_both_orientations(wide, symbolic, data):
+    # wide: more distinct output keys than sources (the tagged forward pass);
+    # otherwise the transposed map is reduced.  Zero, duplicate and
+    # dependent images sit among independent ones, keys in shuffled order.
+    t = RatFunc.t()
+
+    def scalar():
+        v = Fraction(data.draw(st.integers(-3, 3).filter(bool)), data.draw(st.integers(1, 3)))
+        return v * (t - data.draw(st.sampled_from(ROOTS))) if symbolic else v
+
+    base_count = data.draw(st.integers(1 if wide else 0, 4))
+    extra_count = data.draw(st.integers(0, 3))
+    nsrc = base_count + extra_count
+    nout = nsrc + data.draw(st.integers(1, 3)) if wide else data.draw(st.integers(0, nsrc))
+    outs = [(k, "out") for k in data.draw(st.permutations(range(nout)))]
+    base = [{outs[k]: scalar() for k in data.draw(st.sets(st.integers(0, nout - 1)))}
+            if nout else {} for _ in range(base_count)]
+    if wide:  # every output key is reached
+        for key in outs:
+            if not any(key in image for image in base):
+                base[data.draw(st.integers(0, base_count - 1))][key] = scalar()
+    images = list(base)
+    for _ in range(extra_count):
+        kind = data.draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not base:
+            images.append({})
+        elif kind == "duplicate":
+            images.append(dict(data.draw(st.sampled_from(base))))
+        else:
+            combo = {}
+            for image in base:
+                vec_axpy_into(combo, Fraction(data.draw(st.integers(-2, 2))), image)
+            images.append(combo)
+    images = data.draw(st.permutations(images))
+    source = data.draw(st.permutations([(c % 3, -c) for c in range(nsrc)]))
+    reached = {k for image in images for k in image}
+    assert (len(reached) > nsrc) == wide
+    row = {k: r for r, k in enumerate(reached)}
+    m = Matrix(len(reached), nsrc, {(row[k], c): v for c, image in enumerate(images)
+                                    for k, v in image.items()})
+    expected = [{source[c]: v for c, v in vec.items()} for vec in kernel_basis(m)]
+    got = kernel_of_map(source, images)
+    assert got == expected
+    assert [list(vec) for vec in got] == [list(vec) for vec in expected]

@@ -115,6 +115,27 @@ def test_page_dimensions_match_build_pages(built):
         assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
 
 
+def test_pages_and_survival_build_one_computer(built, monkeypatch):
+    # the spectral command's pair of results, from a single _PageComputer
+    from filiform import spectral
+    made = []
+
+    class Counting(spectral._PageComputer):
+        def __init__(self, algebra):
+            made.append(algebra)
+            super().__init__(algebra)
+
+    for label, a in DEFORMATIONS:
+        ab, _ = built[label]
+        expected = (page_dimensions(a, ab),
+                    None if a.dim % 2 else symplectic_survival(a, ab))
+        monkeypatch.setattr(spectral, "_PageComputer", Counting)
+        made.clear()
+        assert spectral.pages_and_survival(a, ab) == expected, label
+        assert len(made) == 1, label
+        monkeypatch.undo()
+
+
 def reference_pairing(comp, p):
     """The persistence pairing by the field update on Fraction columns, with
     no clearing: {paired monomial: gap}."""

@@ -307,20 +307,18 @@ def _block(a: LieAlgebra, p: int, src: list[tuple],
     return [Form(p, r) for r in rref(kern)[1]]
 
 
-def cohomology(a: LieAlgebra, p: int, weight: int | None = None,
-               blocked: bool | None = None) -> CohomologyBlock:
+def cohomology(a: LieAlgebra, p: int, weight: int | None = None) -> CohomologyBlock:
     """H^p(a), or its weight-lambda block when ``weight`` is given.
 
-    On graded algebras the full space is assembled from weight blocks unless
-    ``blocked=False`` forces one global elimination (used to cross-check the
-    splitting).  Requesting a weight on an unweighted algebra raises
-    WeightsMissing.
+    On graded algebras the full space is assembled from weight blocks; on
+    ungraded ones it is one global elimination.  Requesting a weight on an
+    unweighted algebra raises WeightsMissing.
     """
     if not 0 <= p <= a.dim:
         raise ValueError(f"degree {p} outside 0..{a.dim}")
     if weight is not None and a.weights is None:
         raise WeightsMissing("weight restriction requires a graded algebra")
-    if weight is None and (a.weights is None or blocked is False):
+    if a.weights is None:
         reps = _block(a, p, lambda_basis(a.dim, p), lambda_basis(a.dim, p - 1))
         return CohomologyBlock(p, None, tuple(reps), len(reps))
     src, below = (monomials_by_weight(a.dim, q, a.weights) for q in (p, p - 1))
@@ -354,5 +352,5 @@ def is_cohomologous(a: LieAlgebra, f: Form, g: Form) -> bool:
     return solve_in_span(diff.coeffs, gens) is not None
 
 
-def betti_numbers(a: LieAlgebra, blocked: bool | None = None) -> list[int]:
-    return [cohomology(a, p, blocked=blocked).dim for p in range(a.dim + 1)]
+def betti_numbers(a: LieAlgebra) -> list[int]:
+    return [cohomology(a, p).dim for p in range(a.dim + 1)]

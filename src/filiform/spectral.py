@@ -15,12 +15,11 @@ Pages are computed as exact subquotients
 with canonical reduced representatives throughout.  E_1(w, p) is the
 weight-w cohomology of the associated graded algebra and the block totals
 per cochain degree decrease to the Betti numbers of the filtered algebra.
-Each page is the homology of the one before, E_{r+1} = H(E_r, d_r), so a
-block that vanishes on page r vanishes on every later page; page r+1 is
-built only over the blocks page r left nonzero.
 
-Block dimensions alone come from one persistence pairing of d per degree
-(Edelsbrunner-Harer, Computational Topology, ch. VII): the columns of
+Which pages exist and which of their blocks are nonzero is read off one
+persistence pairing of d per degree (Edelsbrunner-Harer, Computational
+Topology, ch. VII); ``build_pages`` builds exactly those blocks and checks
+each block's size against the pairing's count.  The columns of
 d: L^p -> L^{p+1} over the monomials sorted by (weight, idx) are reduced
 left to right until every nonzero column has its own low (last row), and a
 column paired with its low has the gap w(column) - w(low).  A pair with
@@ -52,7 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .cochain import (Form, betti_numbers, cohomology, d_monomial, differential,
+from .cochain import (Form, cohomology, d_monomial, differential,
                       monomials_by_weight)
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
 from .linalg import (Matrix, SpanSolver, Subspace, all_rational, clear_integer,
@@ -176,9 +175,6 @@ class _PageComputer:
         self._pairings[p] = gaps
         return gaps
 
-    def weight_levels(self, p: int) -> list[int]:
-        return sorted(set(self.weights[p]))
-
     def z_vectors(self, r: int, w: int, p: int) -> list[dict]:
         """Basis of Z_r(w, p) as monomial-keyed vectors."""
         if p < 0 or p > self.n:
@@ -209,11 +205,11 @@ class _PageComputer:
         return z.quotient_representatives(b), b
 
     def d_r_matrix(self, reps: list[dict], t_reps: list[dict] | None,
-                   denom: Subspace | None) -> Matrix:
+                   denom: Subspace) -> Matrix:
         """Matrix of d_r from a block into its target block.
 
-        t_reps and denom are the target's representatives and boundary
-        space; denom is None when the target weight holds no cochains.
+        t_reps and denom are the target's representatives (None or empty
+        when the target block is zero) and boundary space.
         """
         solver = SpanSolver(t_reps + denom.basis()) if t_reps else None
         entries = {}
@@ -223,7 +219,7 @@ class _PageComputer:
                 continue
             if solver is None:
                 # target block is zero; record the map as zero
-                if denom is None or not denom.contains(img):
+                if not denom.contains(img):
                     raise AssertionError("nonzero d_r into an empty block")
                 continue
             coords = solver.solve(img)
@@ -248,52 +244,36 @@ def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
                 r_max: int | None = None) -> list[SpectralPage]:
     """Pages E_1, E_2, ... of the weight filtration, with differentials.
 
-    Stops at r_max (default 2 dim + 1) or as soon as every block total has
-    converged to the corresponding Betti number, whichever comes first.
-    Raises FiltrationUndefined when the adapted antidiagonal is nonzero.
-
-    Page 1 builds every block.  Since E_{r+1} is the homology of (E_r, d_r),
-    a block that is zero on page r stays zero on every later page, so page
-    r+1 only builds the blocks that were nonzero on page r.  Of the other
-    blocks it computes just the boundary space of those that d_{r+1} maps a
-    nonzero block into: the check that no image leaves its target needs it.
+    The pages and their nonzero blocks are read off the persistence pairing
+    (``page_dimensions``): the list stops at the first page whose totals
+    are the Betti numbers, or at r_max when that comes first.  Each listed
+    block is built as an exact subquotient, and an AssertionError is raised
+    when its size differs from the pairing's count.  Of the other blocks
+    only the boundary space of a d_r target is built: the check that no
+    image leaves its target needs it.  Raises FiltrationUndefined when the
+    adapted antidiagonal is nonzero.
     """
-    b = _filtered_algebra(a, adapted)
-    comp = _PageComputer(b)
-    betti = betti_numbers(b)
-    if r_max is None:
-        r_max = 2 * b.dim + 1
+    comp = _PageComputer(_filtered_algebra(a, adapted))
+    page_dims = _page_dimensions(comp)
+    if r_max is not None:
+        page_dims = page_dims[:max(r_max, 0)]
     pages = []
-    alive = None  # blocks nonzero on the previous page; None: build every block
-    for r in range(1, r_max + 1):
-        blocks = {}
-        reps_vec = {}
-        denoms = {}  # boundary spaces of the blocks d_r maps a nonzero block into
-        for p in range(b.dim + 1):
-            for w in comp.weight_levels(p):
-                is_target = (w + r, p - 1) in reps_vec
-                if alive is not None and (w, p) not in alive:
-                    # zero since page r - 1; a target still needs its denominator
-                    if is_target:
-                        denoms[(w, p)] = comp.boundary_space(r, w, p)
-                    continue
-                reps, denom = comp.block(r, w, p)
-                if reps:
-                    blocks[(w, p)] = tuple(Form(p, dict(v)) for v in reps)
-                    reps_vec[(w, p)] = reps
-                if is_target:
-                    denoms[(w, p)] = denom
+    for r, dims in enumerate(page_dims, start=1):
+        reps_vec, denoms = {}, {}
+        for (w, p), size in dims.items():
+            reps_vec[(w, p)], denoms[(w, p)] = comp.block(r, w, p)
+            if len(reps_vec[(w, p)]) != size:
+                raise AssertionError(f"block {(w, p)} of page {r} disagrees "
+                                     "with the persistence pairing")
         diffs = {}
         for (w, p), reps in reps_vec.items():
             target = (w - r, p + 1)
-            diffs[(w, p)] = comp.d_r_matrix(reps, reps_vec.get(target),
-                                            denoms.get(target))
-        page = SpectralPage(r, blocks, diffs)
-        pages.append(page)
-        alive = blocks.keys()
-        totals = page.total_dims()
-        if all(totals.get(p, 0) == betti[p] for p in range(b.dim + 1)):
-            break
+            denom = (denoms[target] if target in denoms
+                     else comp.boundary_space(r, *target))
+            diffs[(w, p)] = comp.d_r_matrix(reps, reps_vec.get(target), denom)
+        blocks = {(w, p): tuple(Form(p, dict(v)) for v in reps)
+                  for (w, p), reps in reps_vec.items()}
+        pages.append(SpectralPage(r, blocks, diffs))
     return pages
 
 
@@ -301,10 +281,11 @@ def page_dimensions(a: LieAlgebra,
                     adapted: AdaptedBasis | None = None) -> list[dict]:
     """Block dimensions {(w, degree): dim} of the pages E_1, E_2, ...
 
-    Read off the persistence pairing of d, without representatives; the
-    list equals [page.block_dims() for page in build_pages(a, adapted)]:
-    it stops at the first page whose totals are the Betti numbers, and
-    after at most 2 dim + 1 pages.
+    Read off the persistence pairing of d, without representatives.  The
+    list stops at the first page whose totals are the Betti numbers (the
+    unpaired monomials), and after at most 2 dim + 1 pages.  ``build_pages``
+    builds the blocks it lists, so it equals [page.block_dims() for page in
+    build_pages(a, adapted)], and a block of another size raises there.
     """
     return _page_dimensions(_PageComputer(_filtered_algebra(a, adapted)))
 
@@ -425,10 +406,9 @@ def canonical_block_representative(a: LieAlgebra, r: int, w: int, p: int,
     The input form must lie in Z_r(w, p); it is reduced modulo the page
     denominator, which matches the normalization of the stored block
     representatives (used to compare obstruction witnesses exactly).
+    Raises FiltrationUndefined when the adapted antidiagonal is nonzero.
     """
-    if adapted is None:
-        adapted = adapted_basis(a)
-    comp = _PageComputer(adapted.algebra)
+    comp = _PageComputer(_filtered_algebra(a, adapted))
     vec = dict(form.coeffs)
     if not Subspace.span(comp.z_vectors(r, w, p)).contains(vec):
         raise ValueError("form does not represent a class on this page")

@@ -161,7 +161,7 @@ def test_cohomology_blocks_match_reference(name, params):
     for p in range(a.dim + 1):
         degrees = (p, p + 1, p - 1)
         whole = [lambda_basis(a.dim, q) for q in degrees]
-        assert cohomology(a, p, blocked=False).forms() == reference_block(a, p, *whole), p
+        assert cohomology(a.with_weights(None), p).forms() == reference_block(a, p, *whole), p
         if a.weights is None:
             assert cohomology(a, p).forms() == reference_block(a, p, *whole), p
             continue
@@ -327,13 +327,13 @@ def test_h0_and_h1():
 def test_blocked_matches_unblocked():
     a = catalog.build("m01", n=7)
     for p in range(8):
-        assert cohomology(a, p).dim == cohomology(a, p, blocked=False).dim
+        assert cohomology(a, p).dim == cohomology(a.with_weights(None), p).dim
 
 
 def test_weight_sum_identity():
     a = catalog.build("V", n=8)
     for p in (1, 2, 3):
-        total = cohomology(a, p, blocked=False).dim
+        total = cohomology(a.with_weights(None), p).dim
         weights = sorted({sum(idx) for idx in lambda_basis(8, p)})
         assert total == sum(cohomology(a, p, weight=w).dim for w in weights)
 

@@ -8,6 +8,7 @@ from filiform import catalog
 from filiform.cochain import Form, betti_numbers, cohomology, lambda_basis
 from filiform.lie import adapted_basis, gr_l
 from filiform.spectral import (FiltrationUndefined, _PageComputer, build_pages,
+                               canonical_block_representative,
                                h3_weight_profile, page_dimensions,
                                symplectic_survival)
 
@@ -80,17 +81,34 @@ def test_convergence_to_betti_numbers(built):
 
 
 def test_blocks_skipped_after_vanishing_are_zero(built):
-    # build_pages builds page r only over the blocks nonzero on page r - 1;
-    # every block it skips must be zero when computed in full
+    # build_pages builds on page r only the blocks page_dimensions lists;
+    # every block it leaves out, page 1 included, must be zero when computed
     for label, a in DEFORMATIONS:
         ab, pages = built[label]
         comp = _PageComputer(ab.algebra)
-        for prev, page in zip(pages, pages[1:]):
+        for r, dims in enumerate(page_dimensions(a, ab), start=1):
             for p in range(a.dim + 1):
-                for w in comp.weight_levels(p):
-                    if (w, p) not in prev.blocks:
-                        reps, _ = comp.block(page.r, w, p)
-                        assert reps == [], (label, page.r, w, p)
+                for w in sorted(set(comp.weights[p])):
+                    if (w, p) not in dims:
+                        reps, _ = comp.block(r, w, p)
+                        assert reps == [], (label, r, w, p)
+
+
+def test_build_pages_checks_blocks_against_the_pairing(monkeypatch):
+    # the pairing's block counts are a live check on the built blocks
+    from filiform import spectral
+    a = catalog.build("deformation_21", n=8, alphas=(1,))
+    pairing_dims = spectral._page_dimensions
+
+    def off_by_one(comp):
+        pages = pairing_dims(comp)
+        key = next(iter(pages[-1]))
+        pages[-1][key] += 1
+        return pages
+
+    monkeypatch.setattr(spectral, "_page_dimensions", off_by_one)
+    with pytest.raises(AssertionError, match="persistence pairing"):
+        build_pages(a)
 
 
 def test_d_r_squared_zero(built):
@@ -337,6 +355,12 @@ def test_survival_matches_symplectic_exists():
 def test_filtration_undefined_for_m1():
     with pytest.raises(FiltrationUndefined):
         build_pages(catalog.build("m1", n=8))
+
+
+def test_canonical_block_representative_undefined_for_m1():
+    with pytest.raises(FiltrationUndefined):
+        canonical_block_representative(catalog.build("m1", n=8), 1, 9, 2,
+                                       Form.monomial((1, 8)))
 
 
 def test_h3_weight_profiles_from_remark():

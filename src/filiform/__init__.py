@@ -28,7 +28,7 @@ from .lie import (AdaptedBasis, AlphaNonzero, Filtration, LieAlgebra,
                   central_series, change_basis, direct_sum, gr_c, gr_l,
                   grading_violations, is_filiform, is_nilpotent, jacobi_check,
                   m0_certificate, nil_index, vergne_class)
-from .linalg import Matrix, Subspace, kernel_basis, rank, solve_in_span
+from .linalg import Matrix, Subspace, kernel_basis
 from .spectral import (FiltrationUndefined, SpectralPage, SurvivalVerdict,
                        build_pages, canonical_block_representative,
                        h3_weight_profile, symplectic_survival)
@@ -59,7 +59,7 @@ __all__ = [
     "is_cohomologous", "is_filiform", "is_filiform_extension",
     "is_nilpotent", "is_symplectic_form", "jacobi_check", "kernel_basis",
     "lambda_basis", "m0_certificate", "nil_index", "printed_form",
-    "quotient_by_extension", "rank", "solve_in_span",
+    "quotient_by_extension",
     "symplectic_catalog_check", "symplectic_exists", "symplectic_survival",
     "vergne_class", "wedge_power",
 ]

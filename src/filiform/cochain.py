@@ -36,8 +36,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Vec, kernel_of_map, pivot_columns, rref,
-                     solve_in_span, vec_combination)
+from .linalg import (Matrix, Subspace, Vec, kernel_of_map, pivot_columns, rref,
+                     vec_combination)
 from .lie import LieAlgebra
 from .scalars import as_scalar, format_rat, rat, scalar_at
 
@@ -349,7 +349,7 @@ def is_cohomologous(a: LieAlgebra, f: Form, g: Form) -> bool:
     if diff.is_zero():
         return True
     gens = [b.coeffs for b in coboundary_space(a, f.degree)]
-    return solve_in_span(diff.coeffs, gens) is not None
+    return Subspace.span(gens).contains(diff.coeffs)
 
 
 def betti_numbers(a: LieAlgebra) -> list[int]:

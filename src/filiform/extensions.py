@@ -396,7 +396,6 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
     candidates = set(drops) - guards
     u, _rest = _filiform_split(reps, n)
     out: list[GradedIsoClass] = []
-    new_guards = set(_builder_guards_next(cls.name, n + 1))
     if u is not None:
         # poles of the canonical representative are candidate dead values
         for c in u.coeffs.values():
@@ -414,7 +413,7 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
         if check.brackets != ext.brackets:
             raise AssertionError("family extension deviates from the catalog table")
         out.append(GradedIsoClass(f"g{n + 1}", n + 1, ext, "alpha",
-                                  tuple(sorted(dead | new_guards))))
+                                  tuple(sorted(dead | _builder_guards(f"g{n + 1}")))))
     else:
         # generically no filiform cocycle: only exceptional values extend
         for alpha in sorted(candidates):
@@ -432,10 +431,6 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
 def _builder_guards(name: str) -> set[Fraction]:
     return {"g9": {Fraction(-5, 2)}, "g10": {Fraction(-5, 2)},
             "g11": {Fraction(-5, 2), Fraction(-1), Fraction(-3)}}.get(name, set())
-
-
-def _builder_guards_next(name: str, next_dim: int) -> set[Fraction]:
-    return _builder_guards(f"g{next_dim}")
 
 
 def _dedupe(classes: list[GradedIsoClass]) -> list[GradedIsoClass]:

@@ -316,21 +316,23 @@ def centralizer(a: LieAlgebra, s: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 def change_basis(a: LieAlgebra, new_vectors: list[Vec], weights=None) -> LieAlgebra:
-    """Structure constants of a in the basis given by new_vectors (old coords)."""
+    """Structure constants of a in the basis given by new_vectors (old coords).
+
+    Raises ValueError unless new_vectors are dim independent vectors.
+    """
     n = a.dim
     if len(new_vectors) != n:
         raise ValueError("need exactly dim basis vectors")
     solver = SpanSolver(new_vectors)
+    if solver.rank < n:
+        raise ValueError("new basis is singular")
     table = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             w = a.bracket_vec(new_vectors[i - 1], new_vectors[j - 1])
             if not w:
                 continue
-            coords = solver.solve(w)
-            if coords is None:
-                raise ValueError("new basis is singular or bracket escapes span")
-            comps = {k + 1: c for k, c in enumerate(coords) if c}
+            comps = {k + 1: c for k, c in enumerate(solver.solve(w)) if c}
             if comps:
                 table[(i, j)] = comps
     return LieAlgebra(n, table, weights=weights)
@@ -458,9 +460,10 @@ def _try_chain(a: LieAlgebra, e1: Vec, e2: Vec) -> AdaptedBasis | None:
         if not nxt:
             return None
         vecs.append(nxt)
-    if Subspace.span(vecs).dim != n:
+    try:
+        adapted = change_basis(a, vecs)
+    except ValueError:  # the chain is not a basis
         return None
-    adapted = change_basis(a, vecs)
     if _adapted_defects(adapted):
         return None
     alpha = _alpha_of(adapted)
@@ -491,33 +494,31 @@ def gr_c(a: LieAlgebra) -> LieAlgebra:
     series = central_series(a)
     if series[-1].dim != 0:
         raise NotNilpotent("gr_C needs a nilpotent algebra")
+    # levels[k - 1] spans the representatives of C^k / C^{k+1}
+    levels = [series[k - 1].quotient_representatives(series[k])
+              for k in range(1, len(series))]
     reps: list[Vec] = []
     weights: list[int] = []
-    slices: dict[int, tuple[int, int]] = {}
-    for k in range(len(series) - 1):
-        level_reps = series[k].quotient_representatives(series[k + 1])
-        slices[k + 1] = (len(reps), len(reps) + len(level_reps))
-        reps.extend(level_reps)
-        weights.extend([k + 1] * len(level_reps))
-    solvers: dict[int, SpanSolver] = {}
-    for lvl, (lo, hi) in slices.items():
-        tail = series[lvl].basis() if lvl < len(series) else []
-        solvers[lvl] = SpanSolver([reps[t] for t in range(lo, hi)] + tail)
+    offsets: list[int] = []
+    for k, level in enumerate(levels, start=1):
+        offsets.append(len(reps))
+        reps.extend(level.rows)
+        weights.extend([k] * level.dim)
     table = {}
     n = len(reps)
     for i in range(n):
         for j in range(i + 1, n):
             wsum = weights[i] + weights[j]
-            if wsum not in slices:
+            if wsum > len(levels):
                 continue
             w = a.bracket_vec(reps[i], reps[j])
             if not w:
                 continue
-            lo, hi = slices[wsum]
-            coeffs = solvers[wsum].solve(w)
+            coeffs = levels[wsum - 1].coordinates(series[wsum].reduce(w))
             if coeffs is None:
                 raise AssertionError("bracket escaped its central-series level")
-            comps = {lo + t + 1: coeffs[t] for t in range(hi - lo) if coeffs[t]}
+            lo = offsets[wsum - 1]
+            comps = {lo + t + 1: c for t, c in enumerate(coeffs) if c}
             if comps:
                 table[(i + 1, j + 1)] = comps
     return LieAlgebra(n, table, weights=weights)
@@ -578,9 +579,10 @@ def m0_certificate(g: LieAlgebra) -> list[Vec] | None:
             return None
         chain.append(nxt)
         nxt = g.bracket_vec(u, nxt)
-    if Subspace.span(chain).dim != g.dim:
+    try:
+        rewritten = change_basis(g, chain)
+    except ValueError:  # the chain is not a basis
         return None
-    rewritten = change_basis(g, chain)
     expected = {(1, i): {i + 1: as_scalar(1)} for i in range(2, g.dim)}
     if rewritten.brackets != expected:
         return None

@@ -26,6 +26,13 @@ its output is the one the field eliminator would give.  Its row operation,
 ``_eliminate`` works over Fraction or RatFunc and serves RatFunc rows,
 ``SpanSolver`` (whose tag coefficients depend on the pivot rows chosen
 when the generators are dependent) and ``rank_drop_candidates``.
+
+A ``Subspace`` holds its span in RREF, and a vector's coefficients on
+those rows are its own entries at the pivots (``Subspace.coordinates``):
+the d_r matrices of the spectral pages and the brackets of ``gr_c`` are
+read that way.  ``SpanSolver`` is left for generators in no canonical
+shape: the new basis of ``lie.change_basis`` and the adapted basis that
+``structures`` pulls a symplectic form back through.
 """
 
 from __future__ import annotations
@@ -110,28 +117,11 @@ class Matrix:
                 clean[(r, c)] = v
         object.__setattr__(self, "entries", clean)
 
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix(n, n, {(i, i): 1 for i in range(n)})
-
     def row_list(self) -> list[Vec]:
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product with a sparse column vector."""
-        out: Vec = {}
-        for (r, c), a in self.entries.items():
-            x = v.get(c)
-            if x:
-                s = out.get(r, 0) + a * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
 
 
 def _echelon(work: list[Vec], weight, pivot, clear,
@@ -339,23 +329,14 @@ def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     return pivots, out
 
 
-def rank(m: Matrix) -> int:
-    """Rank over the rationals via exact elimination."""
-    return len(rref(m.row_list())[0])
-
-
-def kernel_of_rows(rows: list[Vec], columns) -> list[Vec]:
-    """Canonical basis of {x on columns : row . x = 0 for every row}.
+def _kernel_of_rref(pivots: list, red: list[Vec], columns) -> list[Vec]:
+    """Canonical basis of {x on columns : row . x = 0 for every row}, read
+    off the RREF (pivots, rows) of the rows.
 
     One vector per free column, in the order of columns; the vector for free
     column f has entry 1 at f and its pivot-column entries are read off the
     RREF, so the result is itself in reduced echelon shape.
     """
-    return _kernel_of_rref(*rref(rows), columns)
-
-
-def _kernel_of_rref(pivots: list, red: list[Vec], columns) -> list[Vec]:
-    """``kernel_of_rows`` read off the RREF (pivots, rows) of the rows."""
     pivot_set = set(pivots)
     basis = {f: {f: _ONE} for f in columns if f not in pivot_set}
     for p, row in zip(pivots, red):
@@ -367,7 +348,7 @@ def _kernel_of_rref(pivots: list, red: list[Vec], columns) -> list[Vec]:
 
 def kernel_basis(m: Matrix) -> list[Vec]:
     """Canonical basis of the null space of m, one vector per free column."""
-    return kernel_of_rows(m.row_list(), range(m.cols))
+    return _kernel_of_rref(*rref(m.row_list()), range(m.cols))
 
 
 def kernel_of_map(source: list, images) -> list[Vec]:
@@ -384,7 +365,7 @@ def kernel_of_map(source: list, images) -> list[Vec]:
     call need not be comparable.  The elimination runs along the shorter
     side of the map.  With at most as many distinct output keys as
     sources, each output key is a row of the transposed map and the kernel
-    is read off its RREF (``kernel_of_rows``).  With more output keys, each
+    is read off its RREF (``_kernel_of_rref``).  With more output keys, each
     image is a row tagged with its source position (``_kernel_by_tags``).
     Both routes span the same kernel and return its one reduced basis with
     the positions read in descending order, so they agree.
@@ -401,7 +382,7 @@ def kernel_of_map(source: list, images) -> list[Vec]:
         for c, image in enumerate(images):
             for k, v in image.items():
                 rows[index[k]][c] = v
-        kernel = kernel_of_rows(rows, range(len(source)))
+        kernel = _kernel_of_rref(*rref(rows), range(len(source)))
     return [{source[c]: v for c, v in vec.items()} for vec in kernel]
 
 
@@ -452,12 +433,14 @@ def _reduce(index: dict, v: Vec) -> tuple[Vec, list]:
 
 
 class SpanSolver:
-    """Repeated exact solves against a fixed generating set."""
+    """Repeated exact solves against a fixed generating set; rank is the
+    dimension of its span."""
 
     def __init__(self, generators: list[Vec]):
         self.n = len(generators)
         pivots, rows, tags, _ = _eliminate(
             generators, [{i: _ONE} for i in range(self.n)])
+        self.rank = len(pivots)
         self._index = dict(zip(pivots, rows))
         self._tags = dict(zip(pivots, tags))  # pivot row as a generator combination
 
@@ -470,14 +453,6 @@ class SpanSolver:
             for i, v in self._tags[p].items():
                 coeffs[i] = coeffs[i] + c * v
         return coeffs
-
-
-def solve_in_span(target: Vec, generators: list[Vec]) -> list | None:
-    """Exact coefficients writing target in span(generators), else None.
-
-    The returned list c satisfies sum(c[i] * generators[i]) == target.
-    """
-    return SpanSolver(generators).solve(target)
 
 
 def pfaffian(n: int, entries: dict):
@@ -550,18 +525,26 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
+    def coordinates(self, v: Vec) -> list | None:
+        """v's coefficients on the rows, or None when v is not in the span.
+
+        An RREF row is the only one with a nonzero entry at its pivot, so
+        the coefficients are v's own entries at the pivots.
+        """
+        if self.reduce(v):
+            return None
+        return [v.get(p, 0) for p in self.pivots]
+
     def basis(self) -> list[Vec]:
         return [dict(r) for r in self.rows]
 
-    def quotient_representatives(self, sub: "Subspace") -> list[Vec]:
-        """Canonical representatives of a basis of self / sub.
+    def quotient_representatives(self, sub: "Subspace") -> "Subspace":
+        """The span of canonical representatives of a basis of self / sub.
 
-        Each returned vector lies in self, reduces to itself modulo sub, and
-        the set is in RREF; deterministic for golden tests.
+        Its rows lie in self, reduce to themselves modulo sub, and are in
+        RREF; deterministic for golden tests.
         """
-        reduced = [sub.reduce(r) for r in self.rows]
-        _, rows = rref([r for r in reduced if r])
-        return rows
+        return Subspace.span([sub.reduce(r) for r in self.rows])
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,26 @@ def test_adapted_basis_recovers_shuffled_m0_5():
         assert shuffled.bracket_vec(ab.vectors[0], ab.vectors[i]) == ab.vectors[i + 1]
 
 
+def test_adapted_basis_skips_an_e1_without_a_full_chain():
+    # with e_1 and e_2 of m0(6) swapped, the first candidate e_1 is the old
+    # e_2, whose adjoint chain stops after one step; the sweep goes on to e_2
+    a = catalog.build("m0", n=6)
+    swapped = change_basis(a, [{2: Fraction(1)}, {1: Fraction(1)}]
+                           + [{i: Fraction(1)} for i in range(3, 7)])
+    assert swapped.ad_chain_length({1: Fraction(1)}) < 4
+    ab = adapted_basis(swapped)
+    assert ab.algebra.brackets == a.brackets
+    assert ab.alpha == 0
+
+
+def test_change_basis_rejects_a_singular_basis():
+    a = catalog.build("heisenberg", n=3)
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(a, [{1: Fraction(1)}, {1: Fraction(1)}, {3: Fraction(1)}])
+    with pytest.raises(ValueError, match="singular"):
+        change_basis(a, [{1: Fraction(1)}, {2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}])
+
+
 def test_adapted_basis_on_scaled_and_mixed_basis():
     a = catalog.build("V", n=9)
     vectors = [{1: Fraction(2), 2: Fraction(1)}, {2: Fraction(3)}]

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from filiform.linalg import (Matrix, SpanSolver, Subspace, _eliminate, kernel_basis,
                              kernel_and_rank_drops, kernel_of_map, pivot_columns,
-                             rank, rank_drop_candidates, rref, solve_in_span,
-                             vec_axpy, vec_axpy_into)
+                             rank_drop_candidates, rref, vec_axpy, vec_axpy_into,
+                             vec_combination)
 from filiform.scalars import RatFunc, scalar_at
 
 
@@ -26,6 +26,23 @@ def dense(m: Matrix):
     return out
 
 
+def rank(m: Matrix) -> int:
+    """The number of pivots of the RREF of m's rows."""
+    return len(rref(m.row_list())[0])
+
+
+def identity(n: int) -> Matrix:
+    return Matrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def apply(m: Matrix, v) -> dict:
+    """m v for a sparse column vector v, zero entries dropped."""
+    out = {}
+    for (r, c), a in m.entries.items():
+        out[r] = out.get(r, 0) + a * v.get(c, 0)
+    return {r: x for r, x in out.items() if x}
+
+
 def sympy_rank(m: Matrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -34,7 +51,7 @@ def sympy_rank(m: Matrix) -> int:
 
 def test_rank_empty_and_identity():
     assert rank(Matrix(0, 0)) == 0
-    assert rank(Matrix.identity(5)) == 5
+    assert rank(identity(5)) == 5
 
 
 def test_rank_d1_on_m0_4_duals():
@@ -46,7 +63,7 @@ def test_rank_d1_on_m0_4_duals():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(identity(3)) == []
 
 
 def test_kernel_zero_matrix_full():
@@ -100,26 +117,32 @@ def test_kernel_dim_of_d_on_two_forms_of_m0_5():
 def test_kernel_vectors_annihilate():
     m = Matrix(3, 5, {(0, 0): 2, (0, 3): -1, (1, 1): 3, (1, 4): Fraction(1, 2), (2, 0): 1, (2, 1): 1})
     for v in kernel_basis(m):
-        assert m.apply(v) == {}
+        assert apply(m, v) == {}
 
 
 def test_solve_in_span_trivial_cases():
     gens = [{0: 1, 1: 2}, {1: 1, 2: -1}]
-    assert solve_in_span({}, gens) == [0, 0]
-    assert solve_in_span({0: 1, 1: 2}, gens) == [1, 0]
+    assert SpanSolver(gens).solve({}) == [0, 0]
+    assert SpanSolver(gens).solve({0: 1, 1: 2}) == [1, 0]
+    # on the RREF rows {0: 1, 2: 2} and {1: 1, 2: -1}
+    assert Subspace.span(gens).coordinates({}) == [0, 0]
+    assert Subspace.span(gens).coordinates({0: 1, 1: 2}) == [1, 2]
 
 
 def test_solve_in_span_combination_and_failure():
     gens = [{0: 1, 1: 2}, {1: 1, 2: -1}]
-    c = solve_in_span({0: 2, 1: 5, 2: -1}, gens)
+    c = SpanSolver(gens).solve({0: 2, 1: 5, 2: -1})
     assert c == [2, 1]
-    assert solve_in_span({0: 1, 2: 5, 3: 1}, gens) is None
+    assert SpanSolver(gens).solve({0: 1, 2: 5, 3: 1}) is None
+    assert Subspace.span(gens).coordinates({0: 2, 1: 5, 2: -1}) == [2, 5]
+    assert Subspace.span(gens).coordinates({0: 1, 2: 5, 3: 1}) is None
 
 
 def test_not_in_span_of_m0_4_coboundaries():
     # e^1^e^4 lies outside span{de^3, de^4} = span{e1^e2, e1^e3} on m0(4)
     gens = [{(1, 2): 1}, {(1, 3): 1}]
-    assert solve_in_span({(1, 4): 1}, gens) is None
+    assert SpanSolver(gens).solve({(1, 4): 1}) is None
+    assert Subspace.span(gens).coordinates({(1, 4): 1}) is None
 
 
 def test_rref_canonical_and_deterministic():
@@ -259,13 +282,21 @@ def test_span_solver_round_trip(gens, extra, combine):
         target = {}
         for i, g in enumerate(gens):
             target = vec_axpy(target, Fraction(i - 2, 3), g)
-    coeffs = SpanSolver(gens).solve(target)
+    solver = SpanSolver(gens)
+    assert solver.rank == rows_rank(gens)
+    coeffs = solver.solve(target)
     assert (coeffs is None) == (rows_rank(gens + [target]) > rows_rank(gens))
     if coeffs is not None:
         total = {}
         for c, g in zip(coeffs, gens):
             total = vec_axpy(total, c, g)
         assert total == target
+    # the same target on the RREF rows of the span
+    space = Subspace.span(gens)
+    coords = space.coordinates(target)
+    assert (coords is None) == (coeffs is None)
+    if coords is not None:
+        assert vec_combination(coords, space.rows) == target
 
 
 def sequential_reduce(space: Subspace, v):
@@ -294,7 +325,7 @@ def test_subspace_reduce_and_quotient():
     assert s.contains({0: 3, 1: -7})
     assert not s.contains({2: 1})
     q = Subspace.span([{0: 1}, {1: 1}, {2: 1}]).quotient_representatives(s)
-    assert q == [{2: 1}]
+    assert q == Subspace((2,), ({2: 1},))
 
 
 def test_rank_drop_candidates_over_parameter_field():

@@ -11,7 +11,7 @@ from filiform import catalog
 from filiform.cochain import Form, differential
 from filiform.extensions import graded_isomorphic
 from filiform.lie import abelian
-from filiform.linalg import pfaffian
+from filiform.linalg import pfaffian, vec_combination
 from filiform.structures import (EvenDimension,
                                  NotSymplectic, OddDimension, contact_check,
                                  contact_exists, contactize,
@@ -224,6 +224,17 @@ def test_generic_route_on_abelian_and_heisenberg_product():
     cert = symplectic_exists(abelian(6))
     assert cert.exists
     assert is_symplectic_form(abelian(6), cert.form)
+
+
+def test_nondegenerate_point_past_the_witness_points():
+    # Pf(sum t_i c_i e^1^e^2) = sum c_i t_i vanishes at every witness point,
+    # so the point comes from the grid search on the expanded polynomial
+    from filiform.structures import _witness_points, nondegenerate_point
+    vecs = [{(1, 2): Fraction(c)} for c in (-2, 2, 3, -4, 1)]
+    assert all(not pfaffian(2, vec_combination(t, vecs)) for t in _witness_points(5))
+    point = nondegenerate_point(2, vecs)
+    assert point is not None
+    assert pfaffian(2, vec_combination(point, vecs))
 
 
 def test_symplectic_verdict_computes_the_central_series_once(monkeypatch):

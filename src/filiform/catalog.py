@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochain import Form
-from .lie import LieAlgebra
+from .lie import LieAlgebra, abelian
 from .scalars import RatFunc, as_scalar, rat
 
 
@@ -42,10 +42,6 @@ def _chain(n: int, upto: int | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
-
-def build_abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, {}, weights=[1] * n)
-
 
 def build_heisenberg(n: int) -> LieAlgebra:
     if n < 3 or n % 2 == 0:
@@ -182,15 +178,19 @@ def build_g8(alpha) -> LieAlgebra:
     return LieAlgebra(8, table, weights=range(1, 9))
 
 
-def _guard_not(alpha, banned, name):
-    if isinstance(alpha, RatFunc):
-        return
-    if rat(alpha) in banned:
-        raise GuardViolated(f"{name} is undefined at alpha = {alpha}")
+# the parameters where a denominator of g_n vanishes; the cocycle omega_n
+# that extends g_{n-1} to g_n is undefined at the same values
+UNDEFINED_AT = {"g9": {Fraction(-5, 2)}, "g10": {Fraction(-5, 2)},
+                "g11": {Fraction(-5, 2), Fraction(-1), Fraction(-3)}}
+
+
+def _guard_not(alpha, family: str, name: str | None = None):
+    if not isinstance(alpha, RatFunc) and rat(alpha) in UNDEFINED_AT[family]:
+        raise GuardViolated(f"{name or family} is undefined at alpha = {alpha}")
 
 
 def build_g9(alpha) -> LieAlgebra:
-    _guard_not(alpha, {Fraction(-5, 2)}, "g9")
+    _guard_not(alpha, "g9")
     a = _as_param(alpha)
     table = build_g8(a).brackets.copy()
     den = 2 * a + 5
@@ -202,7 +202,7 @@ def build_g9(alpha) -> LieAlgebra:
 
 
 def build_g10(alpha) -> LieAlgebra:
-    _guard_not(alpha, {Fraction(-5, 2)}, "g10")
+    _guard_not(alpha, "g10")
     a = _as_param(alpha)
     table = build_g9(a).brackets.copy()
     den = 2 * a + 5
@@ -214,7 +214,7 @@ def build_g10(alpha) -> LieAlgebra:
 
 
 def build_g11(alpha) -> LieAlgebra:
-    _guard_not(alpha, {Fraction(-5, 2), Fraction(-1), Fraction(-3)}, "g11")
+    _guard_not(alpha, "g11")
     a = _as_param(alpha)
     table = build_g10(a).brackets.copy()
     d1 = 2 * (a * a + 4 * a + 3)
@@ -251,7 +251,7 @@ def build_abelian_commutant(n: int, t: int, alphas=()) -> LieAlgebra:
 
 
 _BUILDERS = {
-    "abelian": lambda **kw: build_abelian(kw["n"]),
+    "abelian": lambda **kw: abelian(kw["n"]),
     "heisenberg": lambda **kw: build_heisenberg(kw["n"]),
     "m0": lambda **kw: build_m0(kw["n"]),
     "m1": lambda **kw: build_m1(kw["n"]),
@@ -340,7 +340,7 @@ def form_g8_symplectic(alpha) -> Form:
     the notes of symplectic_catalog_check().  Degenerate exactly at alpha in
     {-2, -1, 1/2}; undefined at -5/2.
     """
-    _guard_not(alpha, {Fraction(-5, 2)}, "omega_9")
+    _guard_not(alpha, "g9", "omega_9")
     a = _as_param(alpha)
     den = 2 * a + 5
     return Form(2, {
@@ -353,7 +353,7 @@ def form_g8_symplectic(alpha) -> Form:
 
 def form_g10_symplectic(alpha) -> Form:
     """omega_11(alpha) on g_{10,alpha}; undefined at alpha in {-5/2, -1, -3}."""
-    _guard_not(alpha, {Fraction(-5, 2), Fraction(-1), Fraction(-3)}, "omega_11")
+    _guard_not(alpha, "g11", "omega_11")
     a = _as_param(alpha)
     d1 = 2 * (a * a + 4 * a + 3)
     d2 = d1 * (2 * a + 5)

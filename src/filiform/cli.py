@@ -9,6 +9,7 @@ catalog.  Algebras travel in the interchange JSON format
 Exit codes: 0 = verdict computed (a negative verdict is still a verdict),
 1 = input error, 2 = internal invariant violation.  All JSON output is
 canonical (sorted keys), so identical inputs produce identical bytes.
+A dimension above MAX_DIM is an input error (exterior powers grow fast).
 """
 
 from __future__ import annotations
@@ -27,8 +28,17 @@ from .spectral import degree_totals, pages_and_survival
 from .structures import contact_exists, symplectic_exists
 
 
+MAX_DIM = 64
+
+
 class InputError(Exception):
     pass
+
+
+def _bounded_dim(n: int) -> int:
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the bound MAX_DIM = {MAX_DIM}")
+    return n
 
 
 def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
@@ -40,6 +50,7 @@ def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
             raw = fh.read()
         doc = json.loads(raw)
         algebra = LieAlgebra.from_dict(doc, check=False)
+        _bounded_dim(algebra.dim)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot read algebra from {path}: {exc}") from exc
     except ZeroDivisionError as exc:
@@ -126,7 +137,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        classes = enumerate_graded_filiform(args.dim)
+        classes = enumerate_graded_filiform(_bounded_dim(args.dim))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rows = []
@@ -218,18 +229,20 @@ def cmd_spectral(args) -> int:
 
 def cmd_catalog(args) -> int:
     params = {}
-    if args.dim is not None:
-        params["n"] = args.dim
-    if args.alpha is not None:
-        params["alpha"] = rat(args.alpha)
-    if args.t is not None:
-        params["t"] = args.t
-    if args.alphas:
-        params["alphas"] = [rat(x) for x in args.alphas.split(",")]
     try:
+        if args.dim is not None:
+            params["n"] = _bounded_dim(args.dim)
+        if args.alpha is not None:
+            params["alpha"] = rat(args.alpha)
+        if args.t is not None:
+            params["t"] = args.t
+        if args.alphas:
+            params["alphas"] = [rat(x) for x in args.alphas.split(",")]
         a = catalog.build(args.name, **params)
-    except (catalog.GuardViolated, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # GuardViolated included
         raise InputError(str(exc)) from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"zero denominator, {exc}") from exc
     bad = jacobi_check(a)
     if bad:
         print(f"internal error: catalog algebra violates Jacobi at {bad[0][:3]}",

@@ -27,19 +27,25 @@ lexicographic monomial order.  Each block reads them off one kernel of d
 (``linalg.kernel_of_map``): the cocycles that vanish at B's pivot monomials
 form a complement of B in the cocycles, and they are exactly the reduced
 ones (see ``_block``).
+
+:func:`nondegenerate_point` asks whether a pencil of 2-forms has a
+nondegenerate member: witness points are each decided by a Pfaffian, then
+the top coefficient of the pencil's top power is expanded once over
+multivariate rationals, in at most FILIFORM_MAX_GRID terms.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Subspace, Vec, kernel_of_map, pivot_columns, rref,
-                     vec_combination)
+from .linalg import (Matrix, Subspace, Vec, kernel_of_map, pfaffian,
+                     pivot_columns, rref, vec_combination)
 from .lie import LieAlgebra
-from .scalars import as_scalar, format_rat, rat, scalar_at
+from .scalars import MPoly, as_scalar, format_rat, rat, scalar_at
 
 
 class WeightsMissing(ValueError):
@@ -170,6 +176,85 @@ class Form:
             mono = "^".join(f"e{i}" for i in idx)
             bits.append(f"({c})*{mono}")
         return " + ".join(bits)
+
+
+# ---------------------------------------------------------------------------
+# the pencil search
+# ---------------------------------------------------------------------------
+
+def _max_grid() -> int:
+    """The FILIFORM_MAX_GRID bound (default 200000), an integer >= 1."""
+    raw = os.environ.get("FILIFORM_MAX_GRID", "200000")
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0  # not an integer: rejected with the same reason below
+    if bound < 1:
+        raise ValueError(f"FILIFORM_MAX_GRID must be an integer >= 1, got {raw!r}")
+    return bound
+
+
+def _witness_points(m: int):
+    yield tuple(Fraction(1) for _ in range(m))
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+    yield tuple(Fraction(primes[i % len(primes)] ** (1 + i // len(primes))) for i in range(m))
+    yield tuple(Fraction(1 + 3 * i) for i in range(m))
+    yield tuple(Fraction((-2) ** (i % 3 + 1)) for i in range(m))
+
+
+def nondegenerate_point(n: int, vecs: list) -> tuple | None:
+    """A point t with Pf(sum t_i vecs_i) != 0, or None if there is none.
+
+    vecs are the coefficients {(i, j): c} of 2-forms on n = 2k coordinates.
+    The witness points are tried first, each decided by one Pfaffian; if
+    none hits, the top coefficient P(t) of (sum t_i phi_i)^k is expanded
+    exactly, so a None answer certifies that P is the zero polynomial and no
+    member of the pencil is nondegenerate over any field extension of Q.
+    """
+    m = len(vecs)
+    for point in _witness_points(m):
+        if pfaffian(n, vec_combination(point, vecs)):
+            return point
+    acc: dict[tuple, MPoly] = {}
+    for i, vec in enumerate(vecs):
+        ti = MPoly.var(m, i)
+        for idx, c in vec.items():
+            acc[idx] = acc.get(idx, MPoly.const(m, 0)) + ti * MPoly.const(m, c)
+    top = _poly_wedge_power(acc, n // 2).get(tuple(range(1, n + 1)))
+    point = top.any_nonvanishing_point() if top else None
+    if point is not None and not pfaffian(n, vec_combination(point, vecs)):
+        raise AssertionError("witness failed to verify")
+    return point
+
+
+def _poly_wedge_power(coeffs: dict, k: int) -> dict:
+    """k-fold wedge of a form whose coefficients are MPoly values.
+
+    Holds at most FILIFORM_MAX_GRID polynomial terms in all.
+    """
+    if not coeffs:
+        return {}
+    bound = _max_grid()
+    nvars = next(iter(coeffs.values())).nvars
+    power = {(): MPoly.const(nvars, 1)}
+    for _ in range(k):
+        nxt: dict[tuple, MPoly] = {}
+        for i1, c1 in power.items():
+            for i2, c2 in coeffs.items():
+                merged = _merge_sign(i1 + i2)
+                if merged is None:
+                    continue
+                idx, sign = merged
+                term = c1 * c2
+                if sign < 0:
+                    term = -term
+                cur = nxt.get(idx)
+                nxt[idx] = term if cur is None else cur + term
+        power = {idx: c for idx, c in nxt.items() if not c.is_zero()}
+        if sum(len(c.terms) for c in power.values()) > bound:
+            raise RuntimeError(
+                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
+    return power
 
 
 # ---------------------------------------------------------------------------

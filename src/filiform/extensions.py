@@ -361,7 +361,7 @@ def _family_from_line(a, u, w, samples, forms) -> list[GradedIsoClass]:
     if anchor is None:
         raise AssertionError("no regular sample on the family line")
     out.append(GradedIsoClass(f"g{n}", n, catalog.family_symbolic(f"g{n}"), "alpha",
-                              tuple(sorted(_builder_guards(f"g{n}")))))
+                              tuple(sorted(catalog.UNDEFINED_AT.get(f"g{n}", ())))))
     return out
 
 
@@ -391,7 +391,7 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
     treatment of the exceptional parameter values."""
     fam = cls.algebra
     n = fam.dim
-    guards = set(cls.excluded) | set(_builder_guards(cls.name))
+    guards = set(cls.excluded) | catalog.UNDEFINED_AT.get(cls.name, set())
     reps, drops = _family_top(fam)
     candidates = set(drops) - guards
     u, _rest = _filiform_split(reps, n)
@@ -412,8 +412,9 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
         check = central_extension(ExtensionCocycle(fam, u))
         if check.brackets != ext.brackets:
             raise AssertionError("family extension deviates from the catalog table")
+        undefined = catalog.UNDEFINED_AT.get(f"g{n + 1}", set())
         out.append(GradedIsoClass(f"g{n + 1}", n + 1, ext, "alpha",
-                                  tuple(sorted(dead | _builder_guards(f"g{n + 1}")))))
+                                  tuple(sorted(dead | undefined))))
     else:
         # generically no filiform cocycle: only exceptional values extend
         for alpha in sorted(candidates):
@@ -426,11 +427,6 @@ def _extend_family(cls: GradedIsoClass, forms: dict) -> list[GradedIsoClass]:
             out.append(_concrete_class(central_extension(ExtensionCocycle(inst, iu)),
                                        forms))
     return out
-
-
-def _builder_guards(name: str) -> set[Fraction]:
-    return {"g9": {Fraction(-5, 2)}, "g10": {Fraction(-5, 2)},
-            "g11": {Fraction(-5, 2), Fraction(-1), Fraction(-3)}}.get(name, set())
 
 
 def _dedupe(classes: list[GradedIsoClass]) -> list[GradedIsoClass]:

@@ -43,7 +43,8 @@ from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
 
-from .scalars import as_scalar, pivot_complexity
+from .scalars import (Poly, RatFunc, as_scalar, pivot_complexity,
+                      rational_roots)
 
 Vec = dict  # {col: scalar}, zero entries never stored
 _ONE = Fraction(1)  # shared: Fractions are immutable
@@ -575,8 +576,6 @@ def kernel_and_rank_drops(m: Matrix) -> tuple[list[Vec], list]:
     The RREF is unique, so the kernel read off the field elimination is the
     one ``kernel_basis`` returns.
     """
-    from .scalars import Poly, RatFunc, rational_roots
-
     poles: set = set()
     for v in m.entries.values():
         if isinstance(v, RatFunc) and v.den.degree > 0:

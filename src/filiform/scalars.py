@@ -17,6 +17,7 @@ A "scalar" below means either a Fraction or a RatFunc; the linear algebra in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 
@@ -179,13 +180,9 @@ def rational_roots(p: Poly) -> list[Fraction]:
             coeffs.pop(0)
     if len(coeffs) <= 1:
         return sorted(set(roots))
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = _gcd_int(g, abs(v))
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = gcd(*ints)
     ints = [v // g for v in ints]
     for num in _divisors(abs(ints[0])):
         for den in _divisors(abs(ints[-1])):
@@ -193,12 +190,6 @@ def rational_roots(p: Poly) -> list[Fraction]:
                 if p.eval(cand) == 0:
                     roots.append(cand)
     return sorted(set(roots))
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:

@@ -38,13 +38,14 @@ content (``linalg.clear_integer``, the row operation of the integer rref).
 Columns over Q(t) keep the field update r <- r - (b/a) q.
 
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
-is decided exactly: a top-weight class survives to the last page iff it is
-the leading term of a genuinely closed 2-form, and such a closed form with
-symplectic leading term is itself symplectic (the top power only sees the
-leading weight).  Nothing maps into the corner (1-forms have weight <= 2k),
-so its first nonzero differential d_r sits on the page r* = the smallest
-gap >= 1 of a corner monomial; the obstruction witness builds only the
-corner block and its target on that page.
+is decided exactly.  Nothing maps into the corner (1-forms weigh <= 2k), so
+its E_1 block is H^2_{2k+1}(gr_L), read as the kernel of the leading part of
+d.  A class survives to the last page iff it is the leading term of a
+closed 2-form, and such a closed form with symplectic leading term is
+itself symplectic (the top power only sees the leading weight).  The first
+nonzero d_r out of the corner sits on the page r* = the smallest gap >= 1
+of a corner monomial; the obstruction witness builds only the corner block
+and its target on that page.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from .cochain import (Form, cohomology, d_monomial, differential,
-                      monomials_by_weight)
+                      monomials_by_weight, nondegenerate_point)
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
 from .linalg import (Matrix, Subspace, all_rational, clear_integer, integer_row,
-                     kernel_of_map, pfaffian, vec_axpy_into, vec_combination)
+                     kernel_of_map, pfaffian, rref, vec_axpy_into,
+                     vec_combination)
 # an explicit re-export: the benchmark harness tests check that its tracer
 # patches this binding and restores it
 from .linalg import kernel_basis as kernel_basis
@@ -237,25 +239,22 @@ def _filtered_algebra(a: LieAlgebra, adapted: AdaptedBasis | None) -> LieAlgebra
     return adapted.algebra
 
 
-def build_pages(a: LieAlgebra, adapted: AdaptedBasis | None = None,
-                r_max: int | None = None) -> list[SpectralPage]:
+def build_pages(a: LieAlgebra,
+                adapted: AdaptedBasis | None = None) -> list[SpectralPage]:
     """Pages E_1, E_2, ... of the weight filtration, with differentials.
 
     The pages and their nonzero blocks are read off the persistence pairing
     (``page_dimensions``): the list stops at the first page whose totals
-    are the Betti numbers, or at r_max when that comes first.  Each listed
-    block is built as an exact subquotient, and an AssertionError is raised
-    when its size differs from the pairing's count.  Of the other blocks
-    only the boundary space of a d_r target is built: the check that no
-    image leaves its target needs it.  Raises FiltrationUndefined when the
-    adapted antidiagonal is nonzero.
+    are the Betti numbers.  Each listed block is built as an exact
+    subquotient, and an AssertionError is raised when its size differs
+    from the pairing's count.  Of the other blocks only the boundary space
+    of a d_r target is built: the check that no image leaves its target
+    needs it.  Raises FiltrationUndefined when the adapted antidiagonal is
+    nonzero.
     """
     comp = _PageComputer(_filtered_algebra(a, adapted))
-    page_dims = _page_dimensions(comp)
-    if r_max is not None:
-        page_dims = page_dims[:max(r_max, 0)]
     pages = []
-    for r, dims in enumerate(page_dims, start=1):
+    for r, dims in enumerate(_page_dimensions(comp), start=1):
         reps_of, denoms = {}, {}
         for (w, p), size in dims.items():
             reps_of[(w, p)], denoms[(w, p)] = comp.block(r, w, p)
@@ -324,20 +323,21 @@ class SurvivalVerdict:
     obstruction_page: int | None = None
     obstruction_source: Form | None = None
     obstruction_image: Form | None = None
+    graded_symplectic: bool = False  # H^2_{2k+1}(gr_L) has a symplectic class
 
 
 def symplectic_survival(a: LieAlgebra,
                         adapted: AdaptedBasis | None = None) -> SurvivalVerdict:
     """Does a homogeneous symplectic class of weight 2k+1 survive to E_infty?
 
-    Because no differential ever maps into the corner block (w = 2k+1,
-    degree 2), a class survives iff it is the leading term of a genuinely
-    closed 2-form on the filtered algebra; the surviving subspace is
-    computed directly from the closed forms and searched for a symplectic
-    element.  On failure the first nonzero page differential out of the
-    corner block is reported as the obstruction witness; its page is the
-    smallest pairing gap >= 1 of a corner monomial, and only the corner
-    block and its target are built on that page.
+    No differential maps into the corner block (w = 2k+1, degree 2), so
+    its E_1 block is H^2_{2k+1}(gr_L) (``graded_symplectic`` says whether it
+    holds a symplectic class), and a class survives iff it is the leading
+    term of a closed 2-form; the surviving subspace is searched for a
+    symplectic element only when E_1 holds one.  On failure the first
+    nonzero page differential out of the corner is the obstruction witness;
+    its page is the smallest pairing gap >= 1 of a corner monomial, and only
+    the corner block and its target are built on that page.
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
@@ -358,28 +358,31 @@ def _survival(comp: _PageComputer) -> SurvivalVerdict:
     b = comp.algebra
     n = b.dim
     top = n + 1  # the corner weight 2k + 1, n = 2k
-    closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
 
     def leading(vec: dict) -> dict:
         return {idx: c for idx, c in vec.items() if sum(idx) == top}
 
+    # the E_1 corner H^2_{2k+1}(gr_L) in RREF: no 1-form weighs 2k+1
+    corner = [idx for idx, w in zip(comp.bases[2], comp.weights[2]) if w == top]
+    classes = rref(kernel_of_map(corner, [leading(comp.d_of(idx)) for idx in corner]))[1]
+    graded = bool(classes) and nondegenerate_point(n, classes) is not None
+    closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
     lifts = [v for v in closed if leading(v)]
-    if lifts:
-        from .structures import nondegenerate_point
+    if graded and lifts:  # the lifts' leading parts lie in the E_1 corner
         point = nondegenerate_point(n, [leading(v) for v in lifts])
         if point is not None:
             lift = Form(2, vec_combination(point, lifts))
             if differential(b, lift) or not pfaffian(n, lift.coeffs):
                 raise AssertionError("survival lift failed to verify")
-            return SurvivalVerdict(True, lift, surviving_dim=len(lifts))
+            return SurvivalVerdict(True, lift, surviving_dim=len(lifts),
+                                   graded_symplectic=True)
 
     # obstructed: the first nonzero differential out of the corner; corner
     # monomials pair only as columns of d on 2-forms (1-forms weigh <= 2k)
     gaps = comp.pairing(2)
-    r = min((gaps[idx] for idx, w in zip(comp.bases[2], comp.weights[2])
-             if w == top and gaps.get(idx, 0) >= 1), default=None)
+    r = min((gaps[idx] for idx in corner if gaps.get(idx, 0) >= 1), default=None)
     if r is None:
-        return SurvivalVerdict(False, surviving_dim=len(lifts))
+        return SurvivalVerdict(False, surviving_dim=len(lifts), graded_symplectic=graded)
     reps, _ = comp.block(r, top, 2)
     target, denom = comp.block(r, top - r, 3)
     mat = comp.d_r_matrix(reps, target, denom)
@@ -392,7 +395,8 @@ def _survival(comp: _PageComputer) -> SurvivalVerdict:
         False, surviving_dim=len(lifts),
         obstruction_page=r,
         obstruction_source=Form(2, reps.rows[col]),
-        obstruction_image=Form(3, image))
+        obstruction_image=Form(3, image),
+        graded_symplectic=graded)
 
 
 def canonical_block_representative(a: LieAlgebra, r: int, w: int, p: int,

@@ -11,30 +11,32 @@ Existence questions run through two routes:
 
 * the structured route for filiform input reproduces the obstruction chain:
   gr_C must be of m0 type, gr_L must itself carry a symplectic class in its
-  top weight 2k+1, and that class must survive the deformation (decided by
-  lifting against the adapted filtration; see :mod:`filiform.spectral`);
+  top weight 2k+1, and that class must survive the deformation.  The last
+  two links are the pages E_1 and E_infty of one spectral sequence, and
+  ``spectral.symplectic_survival`` reads both; a surviving lift is pulled
+  back from adapted coordinates;
 
 * the generic route asks whether some member of a linear pencil of 2-forms
-  is nondegenerate, in one search (``nondegenerate_point``): a few witness
-  points are each decided by a Pfaffian, and then the top coefficient of
-  the pencil's top power is expanded once over multivariate rationals as
-  the nonexistence certificate, holding at most FILIFORM_MAX_GRID terms.
-  Symplectic forms are searched in the pencil of closed 2-forms, contact
-  forms in the bordered pencil d e^i + e^i ^ e^{n+1}.
+  is nondegenerate (``cochain.nondegenerate_point``).  Symplectic forms are
+  searched in the pencil of closed 2-forms, contact forms in the bordered
+  pencil d e^i + e^i ^ e^{n+1}.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
-from .cochain import Form, _merge_sign, d_monomial, differential, lambda_basis
+from . import catalog
+from .cochain import (Form, d_monomial, differential, lambda_basis,
+                      nondegenerate_point)
 from .extensions import ExtensionCocycle, central_extension
-from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis, gr_l
-from .linalg import kernel_of_map, pfaffian, vec_combination
-from .scalars import MPoly, as_scalar
+from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis
+from .linalg import SpanSolver, kernel_of_map, pfaffian, vec_combination
+from .scalars import as_scalar
+from .spectral import symplectic_survival
 
 
 class OddDimension(ValueError):
@@ -47,18 +49,6 @@ class EvenDimension(ValueError):
 
 class NotSymplectic(ValueError):
     pass
-
-
-def _max_grid() -> int:
-    """The FILIFORM_MAX_GRID bound (default 200000), an integer >= 1."""
-    raw = os.environ.get("FILIFORM_MAX_GRID", "200000")
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0  # not an integer: rejected with the same reason below
-    if bound < 1:
-        raise ValueError(f"FILIFORM_MAX_GRID must be an integer >= 1, got {raw!r}")
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -122,80 +112,6 @@ class SymplecticCertificate:
             raise AssertionError("positive certificate without a valid form")
 
 
-# ---------------------------------------------------------------------------
-# the pencil search
-# ---------------------------------------------------------------------------
-
-def _witness_points(m: int):
-    yield tuple(Fraction(1) for _ in range(m))
-    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    yield tuple(Fraction(primes[i % len(primes)] ** (1 + i // len(primes))) for i in range(m))
-    yield tuple(Fraction(1 + 3 * i) for i in range(m))
-    yield tuple(Fraction((-2) ** (i % 3 + 1)) for i in range(m))
-
-
-def nondegenerate_point(n: int, vecs: list) -> tuple | None:
-    """A point t with Pf(sum t_i vecs_i) != 0, or None if there is none.
-
-    vecs are the coefficients {(i, j): c} of 2-forms on n = 2k coordinates.
-    The witness points are tried first, each decided by one Pfaffian; if
-    none hits, the top coefficient P(t) of (sum t_i phi_i)^k is expanded
-    exactly, so a None answer certifies that P is the zero polynomial and no
-    member of the pencil is nondegenerate over any field extension of Q.
-    """
-    m = len(vecs)
-    for point in _witness_points(m):
-        if pfaffian(n, vec_combination(point, vecs)):
-            return point
-    acc: dict[tuple, MPoly] = {}
-    for i, vec in enumerate(vecs):
-        ti = MPoly.var(m, i)
-        for idx, c in vec.items():
-            acc[idx] = acc.get(idx, MPoly.const(m, 0)) + ti * MPoly.const(m, c)
-    top = _poly_wedge_power(acc, n // 2).get(tuple(range(1, n + 1)))
-    point = top.any_nonvanishing_point() if top else None
-    if point is not None and not pfaffian(n, vec_combination(point, vecs)):
-        raise AssertionError("witness failed to verify")
-    return point
-
-
-def _symplectic_in_span(a: LieAlgebra, forms: list[Form]) -> Form | None:
-    """A symplectic combination of the given closed 2-forms, or None."""
-    vecs = [f.coeffs for f in forms]
-    point = nondegenerate_point(a.dim, vecs) if vecs else None
-    return None if point is None else Form(2, vec_combination(point, vecs))
-
-
-def _poly_wedge_power(coeffs: dict, k: int) -> dict:
-    """k-fold wedge of a form whose coefficients are MPoly values.
-
-    Holds at most FILIFORM_MAX_GRID polynomial terms in all.
-    """
-    if not coeffs:
-        return {}
-    bound = _max_grid()
-    nvars = next(iter(coeffs.values())).nvars
-    power = {(): MPoly.const(nvars, 1)}
-    for _ in range(k):
-        nxt: dict[tuple, MPoly] = {}
-        for i1, c1 in power.items():
-            for i2, c2 in coeffs.items():
-                merged = _merge_sign(i1 + i2)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                term = c1 * c2
-                if sign < 0:
-                    term = -term
-                cur = nxt.get(idx)
-                nxt[idx] = term if cur is None else cur + term
-        power = {idx: c for idx, c in nxt.items() if not c.is_zero()}
-        if sum(len(c.terms) for c in power.values()) > bound:
-            raise RuntimeError(
-                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
-    return power
-
-
 def closed_two_form_basis(a: LieAlgebra) -> list[Form]:
     """Canonical basis of the closed 2-forms."""
     src = lambda_basis(a.dim, 2)
@@ -236,23 +152,13 @@ def _certify(a: LieAlgebra, omega: Form) -> SymplecticCertificate:
 
 
 def _symplectic_exists_generic(a: LieAlgebra) -> SymplecticCertificate:
-    omega = _symplectic_in_span(a, closed_two_form_basis(a))
-    if omega is None:
+    vecs = [f.coeffs for f in closed_two_form_basis(a)]
+    point = nondegenerate_point(a.dim, vecs) if vecs else None
+    if point is None:
         return SymplecticCertificate(
             False, reason="GenericSearchExhausted",
             witness="top-power polynomial vanishes identically on the closed 2-forms")
-    return _certify(a, omega)
-
-
-def _top_weight_symplectic(g: LieAlgebra) -> Form | None:
-    """A symplectic class of weight 2k+1 on an N-graded filiform algebra.
-
-    By the homogeneous-decomposition lemma this decides symplectic existence
-    on the graded algebra itself.
-    """
-    from .cochain import cohomology
-    reps = list(cohomology(g, 2, weight=g.dim + 1).representatives)
-    return _symplectic_in_span(g, reps) if reps else None
+    return _certify(a, Form(2, vec_combination(point, vecs)))
 
 
 def _symplectic_exists_filiform(a: LieAlgebra, ab: AdaptedBasis) -> SymplecticCertificate:
@@ -262,46 +168,37 @@ def _symplectic_exists_filiform(a: LieAlgebra, ab: AdaptedBasis) -> SymplecticCe
             False, reason="GrCNotM0",
             witness="gr_C is m1(2k); every closed 2-form lies in the span of "
                     "e^1..e^{2k-1} and is degenerate")
-    graded = gr_l(a, ab)
-    if _top_weight_symplectic(graded) is None:
+    verdict = symplectic_survival(a, ab)
+    if verdict.survives:
+        # the lift lives in adapted coordinates; transport back
+        return _certify(a, _pullback_to_original(a, ab, verdict.lift))
+    if not verdict.graded_symplectic:
         return SymplecticCertificate(
             False, reason="GrLNotSymplectic",
             witness="gr_L carries no symplectic class in weight 2k+1")
-    from .spectral import symplectic_survival
-    verdict = symplectic_survival(a, ab)
-    if not verdict.survives:
-        return SymplecticCertificate(
-            False, reason="SpectralObstruction", witness=verdict)
-    # the lift lives in adapted coordinates; transport back
-    omega = _pullback_to_original(a, ab, verdict.lift)
-    return _certify(a, omega)
+    return SymplecticCertificate(False, reason="SpectralObstruction", witness=verdict)
 
 
 def _pullback_to_original(a: LieAlgebra, ab: AdaptedBasis, omega: Form) -> Form:
     """Rewrite a form given in adapted coordinates in the original basis.
 
-    The adapted vectors are the columns of the base change; the dual change
-    on 1-forms is the transpose inverse, applied monomial by monomial.
+    With e_r = sum_i x_r[i] f_i in the adapted vectors f_i, the dual forms
+    pull back as f^i = sum_r x_r[i] e^r, so the coefficient of e^r ^ e^s in
+    sum c_ij f^i ^ f^j is sum c_ij (x_r[i] x_s[j] - x_r[j] x_s[i]).
     """
     n = a.dim
     if list(ab.vectors) == [{i: as_scalar(1)} for i in range(1, n + 1)]:
         return omega
-    # dual basis: f^i(x) = coefficient of the adapted vector expansion
-    from .linalg import SpanSolver
     solver = SpanSolver(list(ab.vectors))
-    duals = []
-    for r in range(1, n + 1):
-        coords = solver.solve({r: as_scalar(1)})
-        duals.append(coords)
-    # f^i = sum_r duals[r][i] e^r  (computed implicitly below)
-    out = Form.zero(2)
+    x = [solver.solve({r: as_scalar(1)}) for r in range(1, n + 1)]
+    dual = [{r: xr[i] for r, xr in enumerate(x, start=1) if xr[i]} for i in range(n)]
+    out: dict = {}
     for (i, j), c in omega.coeffs.items():
-        fi = Form(1, {(r,): duals[r - 1][i - 1] for r in range(1, n + 1)
-                      if duals[r - 1][i - 1]})
-        fj = Form(1, {(r,): duals[r - 1][j - 1] for r in range(1, n + 1)
-                      if duals[r - 1][j - 1]})
-        out = out.add(fi.wedge(fj).scale(c))
-    return out
+        for (r, xri), (s, xsj) in product(dual[i - 1].items(), dual[j - 1].items()):
+            if r != s:  # e^s ^ e^r = -e^r ^ e^s
+                key = (min(r, s), max(r, s))
+                out[key] = out.get(key, 0) + (c if r < s else -c) * xri * xsj
+    return Form(2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +262,6 @@ def symplectic_catalog_check() -> dict:
     two places where circulating formulas disagree with the recomputed
     cohomology are flagged explicitly.
     """
-    from . import catalog
     report: dict[str, str] = {}
 
     for k in range(2, 9):

@@ -1,6 +1,11 @@
 """CLI: commands, exit codes, canonical JSON output."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +173,50 @@ def test_catalog_guard_is_input_error(capsys):
     code = main(["catalog", "--name", "g11", "--alpha=-5/2"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--name", "g8", "--alpha", "1/0"], "zero denominator"),
+    (["--name", "g8", "--alpha", "x"], "Invalid literal"),
+    (["--name", "deformation_23", "--alphas", "1,x"], "Invalid literal"),
+    (["--name", "m0", "--dim", "65"], "exceeds the bound"),
+])
+def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
+    code = main(["catalog", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and reason in captured.err
+
+
+def test_catalog_accepts_the_dimension_bound(capsys):
+    assert main(["catalog", "--name", "abelian", "--dim", str(cli.MAX_DIM)]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == cli.MAX_DIM
+
+
+def _limit_memory():
+    # a run that tries to enumerate exterior powers fails instead of
+    # exhausting the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{doc}"], ["cohomology", "{doc}", "--degree", "2"],
+    ["symplectic", "{doc}"], ["contact", "{doc}"], ["spectral", "{doc}"],
+    ["catalog", "--name", "m0", "--dim", "1000000"],
+    ["classify-graded", "--dim", "1000000"],
+])
+def test_huge_dimension_is_a_prompt_input_error(tmp_path, argv):
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"dim": 1000000, "brackets": []}))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "filiform.cli", *(a.format(doc=doc) for a in argv)],
+        capture_output=True, text=True, timeout=30, env=env,
+        preexec_fn=_limit_memory)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "exceeds the bound" in proc.stderr
 
 
 def test_deterministic_output(tmp_path, capsys):

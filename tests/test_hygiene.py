@@ -4,7 +4,8 @@ No module but ``__init__`` (which re-exports) imports a name it never uses,
 and every module-level private name is referenced somewhere in ``src/`` or
 ``tests/``, so dead helpers are noticed when their last caller goes.  An
 import of the form ``from m import x as x`` is an explicit re-export (the
-PEP 484 convention) and counts as used.
+PEP 484 convention) and counts as used.  Every import sits at module level,
+so the import graph of the package is the one its module heads show.
 """
 
 import ast
@@ -87,3 +88,13 @@ def test_every_private_name_is_referenced():
             for name, line in private_definitions(parse(path)).items()
             if name not in referenced]
     assert not dead, dead
+
+
+def test_no_import_inside_a_function():
+    nested = set()
+    for path in modules():
+        for fn in ast.walk(parse(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert not nested, sorted(nested)

@@ -49,7 +49,7 @@ def test_page_one_is_graded_cohomology(built):
 
 def test_paper_indexing_of_page_one():
     a = catalog.build("deformation_23", alphas=(0, 0, 0))
-    page1 = build_pages(a, r_max=1)[0]
+    page1 = build_pages(a)[0]
     dims = page1.paper_block_dims()
     # E_1^{-11, 13} = H^2_(11)(m0(10)): two-dimensional
     assert dims[(-11, 13)] == 2
@@ -304,7 +304,7 @@ def test_survival_witness_matches_build_pages(built):
 
 def test_deformation_23_d2_witness():
     a = catalog.build("deformation_23", alphas=(0, 0, 0))
-    pages = build_pages(a, r_max=2)
+    pages = build_pages(a)[:2]
     page2 = pages[1]
     assert page2.r == 2
     reps = page2.blocks[(11, 2)]
@@ -358,6 +358,30 @@ def test_survival_matches_symplectic_exists():
         v = symplectic_survival(a)
         cert = symplectic_exists(a)
         assert v.survives == cert.exists
+
+
+# the even-dimensional algebras of this module; criterion 6 in
+# tests/test_acceptance.py uses the DEFORMATIONS algebras
+CORNER_CASES = [c for c in PAIRING_CASES if c[1].dim % 2 == 0] + [
+    ("m0(8)", catalog.build("m0", n=8)),
+    ("(21) dim 10", catalog.build("deformation_21", n=10, alphas=(1,))),
+    ("(21) dim 8 graded", catalog.build("deformation_21", n=8, alphas=())),
+    ("t=1 dim 10", catalog.build("abelian_commutant", n=10, t=1)),
+    ("(23) at 1,0,0", catalog.build("deformation_23", alphas=(1, 0, 0))),
+    ("graded m2(8)", catalog.build("m2", n=8)),
+]
+
+
+@pytest.mark.parametrize("label, a", CORNER_CASES, ids=[c[0] for c in CORNER_CASES])
+def test_graded_symplectic_is_the_class_of_gr_l(label, a):
+    # the E_1 corner read by the survival test against H^2_{2k+1}(gr_L)
+    from filiform.cochain import nondegenerate_point
+    ab = adapted_basis(a)
+    reps = cohomology(gr_l(a, ab), 2, weight=a.dim + 1).representatives
+    expected = nondegenerate_point(a.dim, [f.coeffs for f in reps]) is not None
+    assert symplectic_survival(a, ab).graded_symplectic == expected
+    # graded m2(8) has no symplectic class; the other cases have one
+    assert expected == (label != "graded m2(8)")
 
 
 def test_filtration_undefined_for_m1():

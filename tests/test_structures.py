@@ -229,7 +229,7 @@ def test_generic_route_on_abelian_and_heisenberg_product():
 def test_nondegenerate_point_past_the_witness_points():
     # Pf(sum t_i c_i e^1^e^2) = sum c_i t_i vanishes at every witness point,
     # so the point comes from the grid search on the expanded polynomial
-    from filiform.structures import _witness_points, nondegenerate_point
+    from filiform.cochain import _witness_points, nondegenerate_point
     vecs = [{(1, 2): Fraction(c)} for c in (-2, 2, 3, -4, 1)]
     assert all(not pfaffian(2, vec_combination(t, vecs)) for t in _witness_points(5))
     point = nondegenerate_point(2, vecs)

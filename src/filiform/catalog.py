@@ -250,28 +250,34 @@ def build_abelian_commutant(n: int, t: int, alphas=()) -> LieAlgebra:
     return LieAlgebra(n, table, weights=weights)
 
 
+def build_deformation_21(n: int, alphas=()) -> LieAlgebra:
+    """The worked deformation fixture (21): abelian_commutant(n, n - 7)."""
+    return build_abelian_commutant(n, n - 7, alphas)
+
+
+def build_deformation_23(alphas=()) -> LieAlgebra:
+    """The ten-dimensional worked deformation fixture (23)."""
+    return build_abelian_commutant(10, 2, alphas)
+
+
 _BUILDERS = {
-    "abelian": lambda **kw: abelian(kw["n"]),
-    "heisenberg": lambda **kw: build_heisenberg(kw["n"]),
-    "m0": lambda **kw: build_m0(kw["n"]),
-    "m1": lambda **kw: build_m1(kw["n"]),
-    "m2": lambda **kw: build_m2(kw["n"]),
-    "V": lambda **kw: build_v(kw["n"]),
-    "m01": lambda **kw: build_m01(kw["n"]),
-    "m02": lambda **kw: build_m02(kw["n"]),
-    "m03": lambda **kw: build_m03(kw["n"], kw.get("variant", "table")),
-    "g7": lambda **kw: build_g7(kw["alpha"]),
-    "g8": lambda **kw: build_g8(kw["alpha"]),
-    "g9": lambda **kw: build_g9(kw["alpha"]),
-    "g10": lambda **kw: build_g10(kw["alpha"]),
-    "g11": lambda **kw: build_g11(kw["alpha"]),
-    "abelian_commutant": lambda **kw: build_abelian_commutant(
-        kw["n"], kw["t"], kw.get("alphas", ())),
-    # the two worked deformation fixtures
-    "deformation_21": lambda **kw: build_abelian_commutant(
-        kw["n"], kw["n"] - 7, kw.get("alphas", ())),
-    "deformation_23": lambda **kw: build_abelian_commutant(
-        10, 2, kw.get("alphas", ())),
+    "abelian": abelian,
+    "heisenberg": build_heisenberg,
+    "m0": build_m0,
+    "m1": build_m1,
+    "m2": build_m2,
+    "V": build_v,
+    "m01": build_m01,
+    "m02": build_m02,
+    "m03": build_m03,
+    "g7": build_g7,
+    "g8": build_g8,
+    "g9": build_g9,
+    "g10": build_g10,
+    "g11": build_g11,
+    "abelian_commutant": build_abelian_commutant,
+    "deformation_21": build_deformation_21,
+    "deformation_23": build_deformation_23,
 }
 
 
@@ -283,7 +289,8 @@ def build(name: str, **params) -> LieAlgebra:
     """Build a catalog algebra by name; GuardViolated on out-of-range params.
 
     Dimension may be passed as n; the g-families take alpha (a rational or a
-    RatFunc symbol for the whole family).
+    RatFunc symbol for the whole family).  A parameter the algebra does not
+    take raises TypeError.
     """
     if name not in _BUILDERS:
         raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(names())}")

@@ -7,7 +7,8 @@ catalog.  Algebras travel in the interchange JSON format
 [[[i1..ip], "num/den"], ...].
 
 Exit codes: 0 = verdict computed (a negative verdict is still a verdict),
-1 = input error, 2 = internal invariant violation.  All JSON output is
+1 = input error, or a stdout the reader closed (quietly, with no traceback),
+2 = internal invariant violation.  All JSON output is
 canonical (sorted keys), so identical inputs produce identical bytes.
 A dimension above MAX_DIM is an input error (exterior powers grow fast).
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from . import catalog
 from .cochain import cohomology, d_squared_zero
@@ -324,7 +326,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -242,7 +242,7 @@ def _classify(a: LieAlgebra, forms: dict) -> tuple[str, Fraction | None]:
         if (name, n) not in forms:
             try:
                 forms[(name, n)] = _normal_form(catalog.build(name, n=n))
-            except (catalog.GuardViolated, KeyError):
+            except catalog.GuardViolated:
                 forms[(name, n)] = None
         if forms[(name, n)] == target:
             return name, None

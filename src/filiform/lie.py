@@ -7,23 +7,20 @@ assignment turns it into a graded algebra ([g_a, g_b] inside g_{a+b}).
 
 The module provides the Jacobi test, the descending central series, filiform
 detection, adapted bases (chain relations [e_1, e_i] = e_{i+1} plus the
-triangular bracket shape), and the two associated graded algebras: gr_C from
-the central series and gr_L from the filtration attached to an adapted basis.
+triangular bracket shape, built from their intrinsic filtration L), and the
+two associated graded algebras: gr_C from the central series and gr_L from
+the filtration attached to an adapted basis.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import (SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy,
-                     vec_scale, vec_sub)
+from .linalg import SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy, vec_scale
 from .scalars import RatFunc, as_scalar, format_rat, rat, scalar_at
-
-log = logging.getLogger(__name__)
 
 
 class NotNilpotent(ValueError):
@@ -37,10 +34,6 @@ class NotFiliform(ValueError):
 class AlphaNonzero(ValueError):
     """Even-dimensional adapted basis with nonzero antidiagonal: the
     filtration L (hence gr_L) is undefined."""
-
-
-class AdaptedBasisNotFound(RuntimeError):
-    pass
 
 
 class LieAlgebra:
@@ -344,7 +337,7 @@ def change_basis(a: LieAlgebra, new_vectors: list[Vec], weights=None) -> LieAlge
 
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """Result of the adapted-basis search.
+    """An adapted basis and the bracket table in it.
 
     ``vectors[i]`` is the new e_{i+1} in old coordinates; ``algebra`` is the
     bracket table rewritten in adapted coordinates; ``alpha`` is the
@@ -394,18 +387,13 @@ def _alpha_of(a: LieAlgebra):
 
 
 def _e1_candidates(a: LieAlgebra, c2: Subspace):
-    """Deterministic sweep: basis vectors outside C^2, then +-pairwise sums,
-    then height-2 combinations (escalation is logged)."""
+    """Deterministic sweep: basis vectors outside C^2, then +-pairwise sums."""
     singles = [i for i in range(1, a.dim + 1) if not c2.contains({i: as_scalar(1)})]
     for i in singles:
         yield {i: as_scalar(1)}
     for i, j in itertools.combinations(singles, 2):
         yield {i: as_scalar(1), j: as_scalar(1)}
         yield {i: as_scalar(1), j: as_scalar(-1)}
-    log.debug("adapted basis: escalating e_1 search to coefficient height 2")
-    for i, j in itertools.combinations(singles, 2):
-        for ci, cj in ((1, 2), (2, 1), (1, -2), (2, -1)):
-            yield {i: as_scalar(ci), j: as_scalar(cj)}
 
 
 def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
@@ -413,10 +401,24 @@ def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
     and a bracket table lower-triangular in the index sum, with the
     alternating antidiagonal in even dimension.
 
-    e_1 is the first candidate of a deterministic sweep whose adjoint map has
-    a length-(n-2) chain; e_2 is preferred inside the centralizer of C^{n-2},
-    which produces the alpha = 0 normal form whenever the algebra admits one,
-    with a bounded fallback sweep otherwise.
+    The basis is built from its filtration, which is intrinsic: L^1 = g,
+    L^2 = {x : [x, C^2] inside C^4} and L^k = C^{k-1} for k >= 3.  As
+    C^2 / C^3 is a line, L^2 is the kernel of x -> [x, b] mod C^4 for one
+    b in C^2 outside C^3 (all of g when n = 3).
+
+    e_1 is the first candidate of ``_e1_candidates`` whose adjoint map has
+    a chain of length n-2.  For n >= 4 at most two lines of g / C^2 lack
+    one: L^2 (its adjoint map sends C^2 into C^4) and the centralizer of
+    C^{n-2} (it kills e_{n-1}).  Two basis vectors u, v that are not
+    proportional mod C^2 give the four lines of u, v, u+v and u-v, so the
+    pair sums reach a full chain.  e_2 is the first basis vector of L^2
+    outside C^2 with [e_1, e_2] outside C^3, and e_{i+1} = [e_1, e_i].
+
+    Since gr_C is m0 or m1 (Vergne), that chain has the adapted shape, and
+    alpha e_n = [e_2, e_{n-1}].  On m0 type L^2 equals the centralizer of
+    C^{n-2}, so alpha = 0; on m1 type no adapted basis reaches alpha = 0.
+    The shape and the alternating antidiagonal are checked, and a failure
+    raises AssertionError.
     """
     n = a.dim
     series = central_series(a)
@@ -425,58 +427,33 @@ def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
     if n <= 2:
         vecs = [{i: as_scalar(1)} for i in range(1, n + 1)]
         return AdaptedBasis(tuple(vecs), a, as_scalar(0))
-    c2 = series[1]
-
-    t_space = centralizer(a, series[n - 3]) if n >= 4 else center(a)
-    e2_pool: list[Vec] = [v for v in t_space.basis() if not c2.contains(v)]
-    for v in list(e2_pool):
-        for b in c2.basis():
-            e2_pool.append(vec_add(v, b))
-            e2_pool.append(vec_sub(v, b))
-    for i in range(1, n + 1):
-        v = {i: as_scalar(1)}
-        if not c2.contains(v):
-            e2_pool.append(v)
-
-    seen_generator = False
-    for e1 in _e1_candidates(a, c2):
-        if a.ad_chain_length(e1) < n - 2:
-            continue
-        seen_generator = True
-        for e2 in e2_pool:
-            got = _try_chain(a, e1, e2)
-            if got is not None:
-                return got
-    if not seen_generator:
-        raise AdaptedBasisNotFound("no generator with a full adjoint chain found")
-    raise AdaptedBasisNotFound("bounded search for (e_1, e_2) exhausted")
-
-
-def _try_chain(a: LieAlgebra, e1: Vec, e2: Vec) -> AdaptedBasis | None:
-    n = a.dim
+    c2, c3, c4 = series[1], series[2], series[min(3, n - 1)]  # C^4 = C^3 = 0 at n = 3
+    b = next(v for v in c2.basis() if not c3.contains(v))
+    units = list(range(1, n + 1))
+    l2 = Subspace.span(kernel_of_map(
+        units, [c4.reduce(a.bracket_vec({i: as_scalar(1)}, b)) for i in units]))
+    e1 = next(e for e in _e1_candidates(a, c2) if a.ad_chain_length(e) >= n - 2)
+    e2 = next(v for v in l2.basis()
+              if not c2.contains(v) and not c3.contains(a.bracket_vec(e1, v)))
     vecs = [e1, e2]
     for _ in range(n - 2):
-        nxt = a.bracket_vec(e1, vecs[-1])
-        if not nxt:
-            return None
-        vecs.append(nxt)
-    try:
-        adapted = change_basis(a, vecs)
-    except ValueError:  # the chain is not a basis
-        return None
-    if _adapted_defects(adapted):
-        return None
+        vecs.append(a.bracket_vec(e1, vecs[-1]))
+    adapted = change_basis(a, vecs)
+    defects = _adapted_defects(adapted)
+    if defects:
+        raise AssertionError(f"adapted basis breaks the adapted shape at {defects[0]}")
     alpha = _alpha_of(adapted)
     if alpha is None or (n % 2 == 1 and alpha):
-        return None
+        raise AssertionError("adapted basis has no alternating antidiagonal")
     return AdaptedBasis(tuple(vecs), adapted, alpha)
 
 
 def vergne_class(a: LieAlgebra) -> str:
     """'m0' or 'm1': which graded algebra gr_C of this filiform algebra is.
 
-    gr_C is of m1 type exactly when no adapted basis reaches alpha = 0; the
-    adapted-basis search prefers alpha = 0, so its result decides.
+    gr_C is of m1 type exactly when no adapted basis reaches alpha = 0, and
+    the constructed basis has alpha = 0 on m0 type (its e_2 centralizes
+    C^{n-2}), so its alpha decides.
     """
     return "m1" if adapted_basis(a).alpha else "m0"
 

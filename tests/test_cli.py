@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import pytest
 
 from filiform import catalog, cli
 from filiform.cli import main
+from filiform.cochain import Form, differential
+from filiform.linalg import pfaffian
+from test_lie import random_base_change
 
 
 def run(capsys, *argv):
@@ -180,6 +184,7 @@ def test_catalog_guard_is_input_error(capsys):
     (["--name", "g8", "--alpha", "x"], "Invalid literal"),
     (["--name", "deformation_23", "--alphas", "1,x"], "Invalid literal"),
     (["--name", "m0", "--dim", "65"], "exceeds the bound"),
+    (["--name", "V", "--dim", "5", "--alpha", "2"], "unexpected keyword argument 'alpha'"),
 ])
 def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
     code = main(["catalog", *argv])
@@ -199,6 +204,13 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
+def _cli_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "{doc}"], ["cohomology", "{doc}", "--degree", "2"],
     ["symplectic", "{doc}"], ["contact", "{doc}"], ["spectral", "{doc}"],
@@ -208,15 +220,49 @@ def _limit_memory():
 def test_huge_dimension_is_a_prompt_input_error(tmp_path, argv):
     doc = tmp_path / "huge.json"
     doc.write_text(json.dumps({"dim": 1000000, "brackets": []}))
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-m", "filiform.cli", *(a.format(doc=doc) for a in argv)],
-        capture_output=True, text=True, timeout=30, env=env,
+        capture_output=True, text=True, timeout=30, env=_cli_env(),
         preexec_fn=_limit_memory)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "exceeds the bound" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # unbuffered, the JSON print meets the closed pipe; buffered, the flush
+    # after the command does
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "filiform.cli", "classify-graded", "--dim", "11"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+@pytest.mark.parametrize("name, expect", [("m1", "GrCNotM0"), ("m0", None)])
+def test_dense_basis_symplectic_is_prompt(tmp_path, name, expect):
+    # in a random dense basis, m1(10) once took minutes: the adapted basis
+    # was searched for over (e_1, e_2) pairs
+    a = random_base_change(catalog.build(name, n=10), random.Random(1), 0.5)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(a.to_dict()))
+    proc = subprocess.run([sys.executable, "-m", "filiform.cli", "symplectic", str(path)],
+                          capture_output=True, text=True, timeout=10, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    if expect:
+        assert result == {"exists": False, "reason": expect}
+    else:
+        omega = Form.from_pairs(2, result["form"])
+        assert result["exists"] and differential(a, omega).is_zero()
+        assert pfaffian(a.dim, omega.coeffs)
 
 
 def test_deterministic_output(tmp_path, capsys):
@@ -283,17 +329,11 @@ def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
         assert "Traceback" not in captured.out + captured.err
 
 
-def _no_adapted_basis(a):
-    from filiform.lie import AdaptedBasisNotFound
-    raise AdaptedBasisNotFound("no adapted basis within the sweep")
-
-
 def _grid_exhausted(a):
     raise RuntimeError("bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
 
 
 @pytest.mark.parametrize("command, target, fail, reason", [
-    ("spectral", "adapted_basis", _no_adapted_basis, "no adapted basis"),
     ("symplectic", "symplectic_exists", _grid_exhausted, "FILIFORM_MAX_GRID"),
 ])
 def test_undecided_search_is_input_error(tmp_path, capsys, monkeypatch,
@@ -306,6 +346,17 @@ def test_undecided_search_is_input_error(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert captured.err.startswith("error: ") and reason in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["spectral", "symplectic"])
+def test_adapted_shape_defect_is_invariant_violation(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("filiform.lie._adapted_defects", lambda a: [(2, 3, 4)])
+    path = write_algebra(tmp_path, "m0", n=6)
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("internal invariant violation: ")
+    assert "(2, 3, 4)" in captured.err and "Traceback" not in captured.err
 
 
 H5_R = {"dim": 6, "brackets": [[1, 2, [[5, "1"]]], [3, 4, [[5, "1"]]]]}

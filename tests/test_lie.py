@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from filiform import catalog
-from filiform.lie import (AlphaNonzero, LieAlgebra, NotFiliform, abelian,
-                          adapted_basis, adapted_filtration, center,
+from filiform.lie import (AlphaNonzero, LieAlgebra, NotFiliform, _adapted_defects,
+                          abelian, adapted_basis, adapted_filtration, center,
                           central_filtration, central_series, change_basis,
                           direct_sum, gr_c, gr_l, grading_violations,
                           is_filiform, is_nilpotent, jacobi_check,
@@ -164,12 +164,61 @@ def test_center_of_filiform_is_last_line():
 
 # -- adapted basis -------------------------------------------------------------
 
+# catalog algebras whose given basis is adapted (V's [e_1, e_i] = (i-1) e_{i+1}
+# is not), and a further set for the base-change oracle
+ADAPTED_CATALOG = [
+    ("m0", {"n": 5}), ("m0", {"n": 8}), ("m1", {"n": 8}), ("m1", {"n": 10}),
+    ("m2", {"n": 7}), ("g8", {"alpha": 3}), ("g10", {"alpha": -1}),
+    ("deformation_21", {"n": 9, "alphas": (1,)}),
+    ("deformation_23", {"alphas": (1, 2, 3)}),
+    ("abelian_commutant", {"n": 8, "t": 2, "alphas": (2,)}),
+]
+BASE_CHANGE_ORACLE = ADAPTED_CATALOG + [
+    ("V", {"n": 9}), ("V", {"n": 10}), ("m2", {"n": 8}), ("g8", {"alpha": -2}),
+    ("abelian_commutant", {"n": 8, "t": 0, "alphas": ("-1/2",)}),
+]
+
+
+def catalog_label(name, params):
+    return name + "(" + ",".join(f"{k}={v}" for k, v in params.items()) + ")"
+
+
+def random_base_change(a, rng, density):
+    """a in a random invertible basis; each entry is nonzero with the given
+    density and then lies in -3..3."""
+    while True:
+        vecs = [{j: Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for j in range(1, a.dim + 1)
+                 if rng.random() < density} for _ in range(a.dim)]
+        if Subspace.span(vecs).dim == a.dim:
+            return change_basis(a, vecs)
+
+
 def test_adapted_basis_identity_on_adapted_input():
-    a = catalog.build("m0", n=5)
-    ab = adapted_basis(a)
-    assert list(ab.vectors) == [{i: Fraction(1)} for i in range(1, 6)]
-    assert ab.alpha == 0
-    assert ab.algebra.brackets == a.brackets
+    for name, params in ADAPTED_CATALOG:
+        a = catalog.build(name, **params)
+        ab = adapted_basis(a)
+        assert list(ab.vectors) == [{i: Fraction(1)} for i in range(1, a.dim + 1)], name
+        assert ab.alpha == (-1 if name == "m1" else 0)
+        assert ab.algebra.brackets == a.brackets
+
+
+@pytest.mark.parametrize("name, params", [
+    pytest.param(name, params, id=catalog_label(name, params))
+    for name, params in BASE_CHANGE_ORACLE])
+def test_adapted_basis_after_random_base_change(name, params):
+    # gr_C is the independent oracle for the Vergne class: alpha != 0
+    # exactly when gr_C is not m0
+    rng = random.Random(f"{name}{params}")
+    a = catalog.build(name, **params)
+    for density in (0.2, 0.5, 0.5):
+        b = random_base_change(a, rng, density)
+        ab = adapted_basis(b)
+        assert _adapted_defects(ab.algebra) == []
+        for i in range(2, a.dim):
+            assert ab.algebra.bracket(1, i) == {i + 1: 1}
+        assert change_basis(b, list(ab.vectors)).brackets == ab.algebra.brackets
+        assert bool(ab.alpha) == (m0_certificate(gr_c(b)) is None)
+        assert bool(ab.alpha) == (name == "m1")
 
 
 def test_adapted_basis_recovers_shuffled_m0_5():

@@ -14,6 +14,7 @@ and the filtered deformation fixtures with abelian commutant.
 from __future__ import annotations
 
 from fractions import Fraction
+from inspect import signature
 
 from .cochain import Form
 from .lie import LieAlgebra, abelian
@@ -283,6 +284,14 @@ _BUILDERS = {
 
 def names() -> list[str]:
     return sorted(_BUILDERS)
+
+
+def parameters(name: str) -> dict[str, bool]:
+    """{parameter: whether it is required} of the named algebra's builder."""
+    if name not in _BUILDERS:
+        raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
+    return {p.name: p.default is p.empty
+            for p in signature(_BUILDERS[name]).parameters.values()}
 
 
 def build(name: str, **params) -> LieAlgebra:

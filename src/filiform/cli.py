@@ -229,6 +229,10 @@ def cmd_spectral(args) -> int:
     return 0
 
 
+# builder parameter -> the catalog flag that sets it
+_CATALOG_FLAGS = {"n": "--dim", "alpha": "--alpha", "t": "--t", "alphas": "--alphas"}
+
+
 def cmd_catalog(args) -> int:
     params = {}
     try:
@@ -240,6 +244,13 @@ def cmd_catalog(args) -> int:
             params["t"] = args.t
         if args.alphas:
             params["alphas"] = [rat(x) for x in args.alphas.split(",")]
+        accepted = catalog.parameters(args.name)
+        for p in params:
+            if p not in accepted:
+                raise InputError(f"{args.name} takes no {_CATALOG_FLAGS[p]}")
+        for p, required in accepted.items():
+            if required and p not in params:
+                raise InputError(f"{args.name} needs {_CATALOG_FLAGS[p]}")
         a = catalog.build(args.name, **params)
     except (ValueError, KeyError, TypeError) as exc:  # GuardViolated included
         raise InputError(str(exc)) from exc

@@ -10,7 +10,9 @@ eliminates along the shorter side of the map.  With at most as many
 distinct outputs as sources it reduces the transposed map, one row per
 output, and reads the kernel off the RREF.  With more outputs, as for the
 cocycles of a weight block, it tags each image with its source position
-and keeps the rows of a forward echelon pass whose image part vanished.
+and keeps the rows of a forward echelon pass whose image part vanished;
+the output columns are eliminated in ascending order of how many images
+reach them, so the pass clears the sparse columns first and fills in less.
 Both routes give the RREF of the kernel with the source positions in
 descending order, and an RREF is unique, so they return the same vectors.
 
@@ -362,20 +364,28 @@ def kernel_of_map(source: list, images) -> list[Vec]:
     free position f, ascending, with entry 1 at f and its other entries at
     positions before f, listed in ascending position.
 
-    The output keys are numbered by first appearance, so the keys of one
-    call need not be comparable.  The elimination runs along the shorter
-    side of the map.  With at most as many distinct output keys as
-    sources, each output key is a row of the transposed map and the kernel
-    is read off its RREF (``_kernel_of_rref``).  With more output keys, each
-    image is a row tagged with its source position (``_kernel_by_tags``).
+    The output keys are numbered by how many images each occurs in,
+    ascending, ties by first appearance, so the keys of one call need not
+    be comparable.  On the tagged route that is the order in which the
+    output columns are eliminated: a key that few images reach is cleared
+    with few row operations, before the fill spreads.  The transposed
+    route's RREF does not depend on the order of its rows.
+
+    The elimination runs along the shorter side of the map.  With at most
+    as many distinct output keys as sources, each output key is a row of
+    the transposed map and the kernel is read off its RREF
+    (``_kernel_of_rref``).  With more output keys, each image is a row
+    tagged with its source position (``_kernel_by_tags``).
     Both routes span the same kernel and return its one reduced basis with
     the positions read in descending order, so they agree.
     """
     images = list(images)
-    index: dict = {}  # output key -> column, by first appearance
+    count: dict = {}  # output key -> number of images it occurs in
     for image in images:
         for k in image:
-            index.setdefault(k, len(index))
+            count[k] = count.get(k, 0) + 1
+    # sorted() is stable and count is in first-appearance order
+    index = {k: c for c, k in enumerate(sorted(count, key=count.__getitem__))}
     if len(index) > len(source):
         kernel = _kernel_by_tags(images, index)
     else:
@@ -582,6 +592,6 @@ def kernel_and_rank_drops(m: Matrix) -> tuple[list[Vec], list]:
             poles.update(rational_roots(v.den))
     pivots, red, _, divisors = _eliminate(m.row_list(), [{}] * m.rows)
     minor = prod(divisors, start=_ONE)
-    num = minor.num if isinstance(minor, RatFunc) else Poly([minor])
+    num = minor.num if isinstance(minor, RatFunc) else Poly([minor.numerator])
     drops = sorted(set(rational_roots(num)) | poles)
     return _kernel_of_rref(pivots, red, range(m.cols)), drops

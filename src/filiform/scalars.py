@@ -12,12 +12,27 @@ with no rounding:
 
 A "scalar" below means either a Fraction or a RatFunc; the linear algebra in
 :mod:`filiform.linalg` is generic over both.
+
+A RatFunc is c * N / D: c a Fraction, N and D primitive polynomials over Z
+(:class:`Poly`, integer coefficients with gcd 1) with positive leading
+coefficients and no common factor.  Every value has exactly one such form,
+so equality compares it.  The costly step of rational-function arithmetic
+is the polynomial gcd, and its cost grows with the degrees and coefficient
+sizes of its arguments, so no operation takes the gcd of its whole result:
+a product cancels gcd(N1, D2) and gcd(N2, D1) before it multiplies, and a
+sum over D = lcm(D1, D2) can share a factor with D only inside gcd(D1, D2),
+which is all it reduces against (Henrici, J. ACM 3, 1956).  Each gcd then
+runs on operands of the inputs' size, not of the result's, and is skipped
+when an operand is constant or two denominators are equal.  The gcd is a
+primitive remainder sequence over Z (Collins, J. ACM 14, 1967), so no
+Fraction is built inside it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import index
 from typing import Iterable
 
 
@@ -44,27 +59,123 @@ def as_scalar(x):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
+_ONE = (1,)  # coefficients of the polynomial 1
+
+
+def _primitive(cs: tuple) -> tuple[int, tuple]:
+    """(k, p) with cs = k * p, p primitive with a positive leading term."""
+    k = gcd(*cs)
+    if cs[-1] < 0:
+        k = -k
+    if k == 1:
+        return 1, cs
+    return k, tuple([c // k for c in cs])
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        k = a[0]
+        return b if k == 1 else tuple([k * c for c in b])
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return tuple(out)  # Z is a domain: the leading product is nonzero
+
+
+def _lincomb(x: int, a: tuple, y: int, b: tuple) -> tuple:
+    """x*a + y*b, trailing zeros dropped."""
+    if len(a) < len(b):
+        x, a, y, b = y, b, x, a
+    out = [x * c for c in a]
+    for i, c in enumerate(b):
+        out[i] += y * c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _divmod(a: tuple, b: tuple) -> tuple[list, list]:
+    """(q, r) with m*a = q*b + r over Z and deg r < deg b.
+
+    Each step divides the leading term of r by lead(b) exactly; only when
+    that division is inexact are r and q first multiplied by the least
+    positive m' that makes it exact (m' divides lead(b)), and m is the
+    product of those m'.  So m = 1 whenever b divides a, or lead(b) = +-1,
+    and r is always a nonzero multiple of the remainder over Q, or zero.
+    """
+    lead, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    while len(r) > db:
+        top = r[-1]
+        if top % lead:
+            m = abs(lead) // gcd(top, lead)
+            r = [m * c for c in r]
+            q = [m * c for c in q]
+            top *= m
+        c = top // lead
+        k = len(r) - 1 - db
+        q[k] = c
+        for i, bc in enumerate(b, k):
+            r[i] -= c * bc
+        while r and not r[-1]:
+            r.pop()
+    return q, r
+
+
+def _gcd(a: tuple, b: tuple) -> tuple:
+    """gcd of two nonzero primitive polynomials, primitive with a positive
+    leading term, by the primitive remainder sequence (Collins, J. ACM 14,
+    1967): each pseudo-remainder is replaced by its primitive part, so the
+    coefficients stay as small as the gcd allows."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _divmod(a, b)[1]
+        if not r:
+            return _primitive(b)[1]
+        a, b = b, _primitive(tuple(r))[1]
+    return _ONE
+
+
+def _exact(a: tuple, b: tuple) -> tuple:
+    """a / b for b dividing a; integral when b is primitive (Gauss)."""
+    return a if b == _ONE else tuple(_divmod(a, b)[0])
+
+
+def _homogeneous(cs: tuple, p: int, q: int) -> int:
+    """q^deg * P(p/q), by Horner over the integers."""
+    acc, qk = 0, 1
+    for c in reversed(cs):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
+
+
 class Poly:
-    """Univariate polynomial over Fraction, coefficients ascending."""
+    """Univariate polynomial over Z, coefficients ascending (ints)."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Fraction]):
-        cs = [rat(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[int]):
+        cs = [index(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def const(c) -> "Poly":
-        return Poly([rat(c)])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
+    def _of(coeffs: tuple) -> "Poly":
+        """Wrap a tuple of ints with no trailing zero, unchecked."""
+        p = object.__new__(Poly)
+        p.coeffs = coeffs
+        return p
 
     @property
     def degree(self) -> int:
@@ -84,68 +195,54 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly._of(_lincomb(1, self.coeffs, 1, other.coeffs))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return Poly._of(_lincomb(1, self.coeffs, -1, other.coeffs))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+            return Poly._of(())
+        return Poly._of(_mul(self.coeffs, other.coeffs))
 
-    def scale(self, c: Fraction) -> "Poly":
-        return Poly([c * a for a in self.coeffs])
+    def primitive(self) -> tuple[int, "Poly"]:
+        """(k, p) with self = k * p, p primitive with a positive leading
+        coefficient; (0, 0) for the zero polynomial."""
+        if not self.coeffs:
+            return 0, self
+        k, cs = _primitive(self.coeffs)
+        return k, Poly._of(cs)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(q, r) with m * self = q * other + r and deg r < deg other, for a
+        positive integer m dividing a power of other's leading coefficient.
+
+        The division is exact over Z (m = 1) when other divides self or has
+        leading coefficient +-1; otherwise it is a pseudo-division, and r is
+        a positive multiple of the remainder over Q.
+        """
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        r = list(self.coeffs)
-        d = other.coeffs
-        while len(r) >= len(d):
-            c = r[-1] / d[-1]
-            k = len(r) - len(d)
-            q[k] = c
-            for i, dc in enumerate(d):
-                r[i + k] -= c * dc
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                break
-        return Poly(q), Poly(r)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return self if lead == 1 else self.scale(1 / lead)
+        q, r = _divmod(self.coeffs, other.coeffs)
+        return Poly._of(tuple(q)), Poly._of(tuple(r))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """The gcd in Z[t]: the gcd of the contents times the primitive gcd,
+        with a positive leading coefficient (0 only for two zeros)."""
+        if not self.coeffs or not other.coeffs:
+            k, p = (self or other).primitive()
+            return Poly._of(_mul((abs(k),), p.coeffs)) if k else p
+        ka, a = _primitive(self.coeffs)
+        kb, b = _primitive(other.coeffs)
+        return Poly._of(_mul((gcd(ka, kb),), _gcd(a, b)))
 
-    def eval(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+    def eval(self, t) -> Fraction:
+        t = rat(t)
+        p, q = t.numerator, t.denominator
+        return Fraction(_homogeneous(self.coeffs, p, q), q ** max(0, self.degree))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -155,41 +252,40 @@ class Poly:
             if c == 0:
                 continue
             if i == 0:
-                parts.append(format_rat(c))
+                parts.append(str(c))
             elif i == 1:
-                parts.append(f"{format_rat(c)}*t")
+                parts.append(f"{c}*t")
             else:
-                parts.append(f"{format_rat(c)}*t^{i}")
+                parts.append(f"{c}*t^{i}")
         return " + ".join(parts)
 
 
 def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, by scanning divisors of the edge coefficients.
+    """All rational roots of p, ascending: the classical rational-root test.
 
-    Coefficients are cleared to integers first, so this is the classical
-    rational-root test and is exhaustive over Q.
+    A root a/b in lowest terms of a primitive integer polynomial has a
+    dividing the lowest nonzero coefficient and b the leading one, so the
+    scan over those divisors is exhaustive over Q; each candidate is tested
+    by integer Horner on b^deg * p(a/b).
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every rational number as a root")
-    # strip powers of t
-    coeffs = list(p.coeffs)
+    cs = p.coeffs
     roots = []
-    if coeffs[0] == 0:
+    if cs[0] == 0:  # strip powers of t
         roots.append(Fraction(0))
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-    if len(coeffs) <= 1:
-        return sorted(set(roots))
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    for num in _divisors(abs(ints[0])):
-        for den in _divisors(abs(ints[-1])):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p.eval(cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+        while cs[0] == 0:
+            cs = cs[1:]
+    if len(cs) == 1:
+        return roots
+    cs = _primitive(cs)[1]
+    for num in _divisors(abs(cs[0])):
+        for den in _divisors(cs[-1]):
+            if gcd(num, den) == 1:
+                for a in (-num, num):
+                    if _homogeneous(cs, a, den) == 0:
+                        roots.append(Fraction(a, den))
+    return sorted(roots)
 
 
 def _divisors(n: int) -> list[int]:
@@ -208,105 +304,178 @@ def _divisors(n: int) -> list[int]:
 # rational functions Q(t)
 # ---------------------------------------------------------------------------
 
-class RatFunc:
-    """Element of Q(t), stored as num/den with den monic and gcd cancelled."""
+def _ratfunc(c: Fraction, num: tuple, den: tuple) -> "RatFunc":
+    """The RatFunc c * num / den from a canonical triple, unchecked."""
+    out = object.__new__(RatFunc)
+    if c:
+        out.c, out.num, out.den = c, Poly._of(num), Poly._of(den)
+    else:
+        out.c, out.num, out.den = c, _ZERO_POLY, _ONE_POLY
+    return out
 
-    __slots__ = ("num", "den")
+
+class RatFunc:
+    """Element of Q(t), stored as c * num / den.
+
+    num and den are primitive integer polynomials with positive leading
+    coefficients and no common factor, and c is a Fraction; zero is
+    0 * 0 / 1.  That triple is unique for each value, so == compares it and
+    a constant c * 1 / 1 hashes like the Fraction c.  Operations keep the
+    shape without a gcd of their whole result (Henrici, J. ACM 3, 1956):
+    a product first cancels gcd(num1, den2) and gcd(num2, den1), a sum
+    puts its numerator over lcm(den1, den2) and reduces it only against
+    gcd(den1, den2), the one factor it can share with the new denominator.
+    """
+
+    __slots__ = ("c", "num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
-            den = Poly.const(1)
+            den = _ONE_POLY
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly([]), Poly.const(1)
+        kn, n = num.primitive()
+        kd, d = den.primitive()
+        c = Fraction(kn, kd)
+        if c:
+            g = _gcd(n.coeffs, d.coeffs)
+            n, d = Poly._of(_exact(n.coeffs, g)), Poly._of(_exact(d.coeffs, g))
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.divmod(g)[0]
-                den = den.divmod(g)[0]
-            lead = den.coeffs[-1]
-            if lead != 1:
-                num = num.scale(1 / lead)
-                den = den.scale(1 / lead)
-        self.num = num
-        self.den = den
+            n, d = _ZERO_POLY, _ONE_POLY
+        self.c, self.num, self.den = c, n, d
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(rat(c)))
+        return _ratfunc(rat(c), _ONE, _ONE)
 
     @staticmethod
     def t() -> "RatFunc":
-        return RatFunc(Poly.x())
+        return _ratfunc(Fraction(1), (0, 1), _ONE)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.c
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.c)
 
-    def _coerce(self, other) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        return RatFunc.const(rat(other))
+    def _is_const(self) -> bool:
+        return len(self.num.coeffs) <= 1 and len(self.den.coeffs) == 1
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, RatFunc):
+            return (self.c == other.c and self.num.coeffs == other.num.coeffs
+                    and self.den.coeffs == other.den.coeffs)
         if isinstance(other, (int, Fraction)):
-            other = RatFunc.const(other)
-        return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
+            return self._is_const() and self.c == other
+        return False
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self._is_const():
+            return hash(self.c)
+        return hash((self.c, self.num.coeffs, self.den.coeffs))
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        other = _as_ratfunc(other)
+        if not other.c:
+            return self
+        if not self.c:
+            return other
+        n1, d1 = self.num.coeffs, self.den.coeffs
+        n2, d2 = other.num.coeffs, other.den.coeffs
+        if d1 == d2:
+            g, e1, e2 = d1, _ONE, _ONE
+        elif len(d1) == 1 or len(d2) == 1:
+            g, e1, e2 = _ONE, d1, d2
+        else:
+            g = _gcd(d1, d2)
+            e1, e2 = _exact(d1, g), _exact(d2, g)
+        # c1 n1/(g e1) + c2 n2/(g e2) = (c1 n1 e2 + c2 n2 e1) / (g e1 e2)
+        c1, c2 = self.c, other.c
+        q1, q2 = c1.denominator, c2.denominator
+        q = q1 * q2 // gcd(q1, q2)
+        m = _lincomb(c1.numerator * (q // q1), _mul(n1, e2),
+                     c2.numerator * (q // q2), _mul(n2, e1))
+        if not m:
+            return _ratfunc(Fraction(0), (), _ONE)
+        k, m = _primitive(m)
+        # m is prime to e1 and e2; only a factor of g can cancel
+        if len(g) > 1:
+            h = _gcd(m, g)
+            if len(h) > 1:
+                m, g = _exact(m, h), _exact(g, h)
+        return _ratfunc(Fraction(k, q), m, _mul(_mul(g, e1), e2))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.c, self.num.coeffs, self.den.coeffs)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + -_as_ratfunc(other)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        if not isinstance(other, RatFunc):
+            return _ratfunc(self.c * rat(other), self.num.coeffs, self.den.coeffs)
+        c = self.c * other.c
+        if not c:
+            return _ratfunc(c, (), _ONE)
+        n1, d1 = self.num.coeffs, self.den.coeffs
+        n2, d2 = other.num.coeffs, other.den.coeffs
+        if len(n1) > 1 and len(d2) > 1:
+            g = _gcd(n1, d2)
+            n1, d2 = _exact(n1, g), _exact(d2, g)
+        if len(n2) > 1 and len(d1) > 1:
+            g = _gcd(n2, d1)
+            n2, d1 = _exact(n2, g), _exact(d1, g)
+        return _ratfunc(c, _mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero():
+    def _inverse(self) -> "RatFunc":
+        if not self.c:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return _ratfunc(1 / self.c, self.den.coeffs, self.num.coeffs)
+
+    def __truediv__(self, other):
+        return self * _as_ratfunc(other)._inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self._inverse() * rat(other)
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = RatFunc.const(1)
+        if not isinstance(k, int):
+            raise ValueError("only integer powers")
+        base = self if k >= 0 else self._inverse()
+        k = abs(k)
+        num, den = _ONE, _ONE
         for _ in range(k):
-            out = out * self
-        return out
+            num, den = _mul(num, base.num.coeffs), _mul(den, base.den.coeffs)
+        return _ratfunc(base.c ** k, num, den)
 
     def eval(self, t: Fraction) -> Fraction:
         d = self.den.eval(t)
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at t={t}")
-        return self.num.eval(t) / d
+        return self.c * self.num.eval(t) / d
 
     def __repr__(self) -> str:
-        if self.den == Poly.const(1):
-            return f"({self.num!r})"
-        return f"({self.num!r})/({self.den!r})"
+        head = f"({format_rat(self.c)})"
+        if self._is_const():
+            return head
+        if len(self.den.coeffs) == 1:
+            return f"{head}*({self.num!r})"
+        return f"{head}*({self.num!r})/({self.den!r})"
+
+
+_ONE_POLY = Poly._of(_ONE)
+_ZERO_POLY = Poly._of(())
+
+
+def _as_ratfunc(x) -> RatFunc:
+    return x if isinstance(x, RatFunc) else RatFunc.const(x)
 
 
 def scalar_at(x, t: Fraction):

@@ -353,8 +353,23 @@ def pages_and_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None
     return _page_dimensions(comp), None if a.dim % 2 else _survival(comp)
 
 
-def _survival(comp: _PageComputer) -> SurvivalVerdict:
-    """``symplectic_survival`` on the even-dimensional complex of comp."""
+def graded_survival(a: LieAlgebra,
+                    adapted: AdaptedBasis | None = None) -> SurvivalVerdict | None:
+    """``symplectic_survival(a, adapted)``, or None when gr_L carries no
+    symplectic class in weight 2k+1.
+
+    The E_1 corner is read first, and a corner without a symplectic class
+    returns before the closed 2-forms, the pairing and the obstruction
+    block are built: the chain has failed at E_1, so no witness is needed.
+    """
+    if a.dim % 2:
+        raise ValueError("survival question needs even dimension")
+    return _survival(_PageComputer(_filtered_algebra(a, adapted)), if_graded=True)
+
+
+def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict | None:
+    """``symplectic_survival`` on the even-dimensional complex of comp; with
+    if_graded, None as soon as the E_1 corner holds no symplectic class."""
     b = comp.algebra
     n = b.dim
     top = n + 1  # the corner weight 2k + 1, n = 2k
@@ -366,6 +381,8 @@ def _survival(comp: _PageComputer) -> SurvivalVerdict:
     corner = [idx for idx, w in zip(comp.bases[2], comp.weights[2]) if w == top]
     classes = rref(kernel_of_map(corner, [leading(comp.d_of(idx)) for idx in corner]))[1]
     graded = bool(classes) and nondegenerate_point(n, classes) is not None
+    if if_graded and not graded:
+        return None
     closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
     lifts = [v for v in closed if leading(v)]
     if graded and lifts:  # the lifts' leading parts lie in the E_1 corner

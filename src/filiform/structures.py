@@ -13,8 +13,9 @@ Existence questions run through two routes:
   gr_C must be of m0 type, gr_L must itself carry a symplectic class in its
   top weight 2k+1, and that class must survive the deformation.  The last
   two links are the pages E_1 and E_infty of one spectral sequence, and
-  ``spectral.symplectic_survival`` reads both; a surviving lift is pulled
-  back from adapted coordinates;
+  ``spectral.graded_survival`` reads both, E_1 first, so a failure there
+  returns before any later page is built; a surviving lift is pulled back
+  from adapted coordinates;
 
 * the generic route asks whether some member of a linear pencil of 2-forms
   is nondegenerate (``cochain.nondegenerate_point``).  Symplectic forms are
@@ -36,7 +37,7 @@ from .extensions import ExtensionCocycle, central_extension
 from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis
 from .linalg import SpanSolver, kernel_of_map, pfaffian, vec_combination
 from .scalars import as_scalar
-from .spectral import symplectic_survival
+from .spectral import graded_survival
 
 
 class OddDimension(ValueError):
@@ -168,14 +169,14 @@ def _symplectic_exists_filiform(a: LieAlgebra, ab: AdaptedBasis) -> SymplecticCe
             False, reason="GrCNotM0",
             witness="gr_C is m1(2k); every closed 2-form lies in the span of "
                     "e^1..e^{2k-1} and is degenerate")
-    verdict = symplectic_survival(a, ab)
-    if verdict.survives:
-        # the lift lives in adapted coordinates; transport back
-        return _certify(a, _pullback_to_original(a, ab, verdict.lift))
-    if not verdict.graded_symplectic:
+    verdict = graded_survival(a, ab)
+    if verdict is None:
         return SymplecticCertificate(
             False, reason="GrLNotSymplectic",
             witness="gr_L carries no symplectic class in weight 2k+1")
+    if verdict.survives:
+        # the lift lives in adapted coordinates; transport back
+        return _certify(a, _pullback_to_original(a, ab, verdict.lift))
     return SymplecticCertificate(False, reason="SpectralObstruction", witness=verdict)
 
 

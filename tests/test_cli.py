@@ -184,7 +184,8 @@ def test_catalog_guard_is_input_error(capsys):
     (["--name", "g8", "--alpha", "x"], "Invalid literal"),
     (["--name", "deformation_23", "--alphas", "1,x"], "Invalid literal"),
     (["--name", "m0", "--dim", "65"], "exceeds the bound"),
-    (["--name", "V", "--dim", "5", "--alpha", "2"], "unexpected keyword argument 'alpha'"),
+    (["--name", "V", "--dim", "5", "--alpha", "2"], "V takes no --alpha"),
+    (["--name", "heisenberg"], "heisenberg needs --dim"),
 ])
 def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
     code = main(["catalog", *argv])

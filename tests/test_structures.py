@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filiform import catalog
+from filiform import catalog, spectral
 from filiform.cochain import Form, differential
 from filiform.extensions import graded_isomorphic
 from filiform.lie import abelian
@@ -165,6 +165,31 @@ def test_t0_deformations_have_no_symplectic_structure():
         cert = symplectic_exists(a)
         assert not cert.exists
         assert cert.reason == "GrLNotSymplectic"
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("g8", "-5/2"), ("g8", "-2"), ("g8", "-1"), ("g8", "1/2"),
+    ("g10", "-1/4"), ("g10", "-1"), ("g10", "-3"),
+])
+def test_grl_not_symplectic_is_decided_on_the_e1_corner(monkeypatch, family, alpha):
+    # the verdict needs no closed 2-forms, no pairing and no obstruction block
+    def unreachable(*args):
+        raise AssertionError("survival witness built past the E_1 corner")
+
+    monkeypatch.setattr(spectral._PageComputer, "z_vectors", unreachable)
+    monkeypatch.setattr(spectral._PageComputer, "pairing", unreachable)
+    a = catalog.build(family, alpha=Fraction(alpha))
+    assert spectral.graded_survival(a) is None
+    assert symplectic_exists(a).reason == "GrLNotSymplectic"
+
+
+@pytest.mark.parametrize("name, params", [
+    ("m0", {"n": 8}), ("deformation_21", {"n": 10, "alphas": (1,)}),
+    ("deformation_23", {"alphas": (0, 0, 0)}), ("g10", {"alpha": 2}),
+])
+def test_graded_survival_is_symplectic_survival_when_graded(name, params):
+    a = catalog.build(name, **params)
+    assert spectral.graded_survival(a) == spectral.symplectic_survival(a)
 
 
 def test_deformation_23_spectral_obstruction():

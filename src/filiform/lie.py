@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy, vec_scale
+from .linalg import SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy
 from .scalars import RatFunc, as_scalar, format_rat, rat, scalar_at
 
 
@@ -68,20 +68,37 @@ class LieAlgebra:
     # -- basic bracket machinery --------------------------------------------
 
     def bracket(self, i: int, j: int) -> Vec:
-        if i == j:
-            return {}
+        """[e_i, e_j] as a new vector, read off ``brackets`` without building
+        the signed table (callers that look up a few pairs stay cheap)."""
         if i < j:
             return dict(self.brackets.get((i, j), {}))
-        return vec_scale(self.brackets.get((j, i), {}), -1)
+        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+
+    @cached_property
+    def signed_brackets(self) -> dict:
+        """[e_i, e_j] as {i: {j: comps}} for both orders, i != j; the table
+        shares the comps of ``brackets`` and builds the negated half once."""
+        out: dict = {}
+        for (i, j), comps in self.brackets.items():
+            out.setdefault(i, {})[j] = comps
+            out.setdefault(j, {})[i] = {k: -c for k, c in comps.items()}
+        return out
 
     def bracket_vec(self, x: Vec, y: Vec) -> Vec:
+        table = self.signed_brackets
         out: Vec = {}
         for i, a in x.items():
+            row = table.get(i)
+            if row is None:
+                continue
             for j, b in y.items():
+                comps = row.get(j)
+                if comps is None:
+                    continue
                 c = a * b
                 if not c:
                     continue
-                for k, s in self.bracket(i, j).items():
+                for k, s in comps.items():
                     t = out.get(k, 0) + c * s
                     if t:
                         out[k] = t
@@ -316,6 +333,8 @@ def change_basis(a: LieAlgebra, new_vectors: list[Vec], weights=None) -> LieAlge
     n = a.dim
     if len(new_vectors) != n:
         raise ValueError("need exactly dim basis vectors")
+    if list(new_vectors) == [{i: 1} for i in range(1, n + 1)]:
+        return LieAlgebra(n, a.brackets, weights=weights)
     solver = SpanSolver(new_vectors)
     if solver.rank < n:
         raise ValueError("new basis is singular")

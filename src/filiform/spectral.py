@@ -37,6 +37,17 @@ common low and g = gcd(a, b), r <- (a/g) r - (b/g) q, divided by its
 content (``linalg.clear_integer``, the row operation of the integer rref).
 Columns over Q(t) keep the field update r <- r - (b/a) q.
 
+Only the pairings of degrees p <= (n-1)/2 are reduced; the others are read
+off them by filtered Poincare duality.  A nilpotent algebra is unimodular,
+so d vanishes on L^{n-1}, and in the complementary monomial basis d_{n-1-p}
+is d_p transposed up to signs (Hazewinkel, "A duality theorem for
+cohomology of Lie algebras", Math. USSR Sb. 12, 1970).  Complements map the
+weight w to N - w, N = n(n+1)/2, and reverse the lex order of k-subsets, so
+they reverse the (weight, idx) order: pairs and gaps correspond
+(de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
+(co)homology", Inverse Problems 27, 2011), and
+dim E_r(w, p) = dim E_r(N - w, n - p).
+
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
 is decided exactly.  Nothing maps into the corner (1-forms weigh <= 2k), so
 its E_1 block is H^2_{2k+1}(gr_L), read as the kernel of the leading part of
@@ -125,6 +136,15 @@ class _PageComputer:
             idx for bucket in monomials_by_weight(n, p, range(1, n + 1)).values()
             for idx in bucket])
         self.weights = _PerDegree(lambda p: [sum(idx) for idx in bases[p]])
+        # d on L^{n-1} vanishes iff every ad(e_i) is traceless; the duality
+        # that ``pairing`` reads the upper degrees by needs it
+        trace = [0] * (n + 1)
+        for (i, j), comps in algebra.brackets.items():
+            trace[i] += comps.get(j, 0)
+            trace[j] -= comps.get(i, 0)
+        if any(trace):
+            raise AssertionError("filtered algebra is not unimodular: "
+                                 "some ad(e_i) has nonzero trace")
         self._d_image: dict[tuple, dict] = {}
         self._z_cache: dict[tuple, list] = {}
         self._pairings: dict[int, dict] = {}
@@ -142,17 +162,39 @@ class _PageComputer:
     def pairing(self, p: int) -> dict:
         """Persistence pairing of d: L^p -> L^{p+1}: {paired monomial: gap}.
 
+        Degrees p <= (n-1)/2 are column-reduced (``_reduce``); above that
+        the pairing is the complement image of pairing(n-1-p), by filtered
+        Poincare duality.  d vanishes on L^{n-1} (a nilpotent algebra is
+        unimodular), so d_{n-1-p} is d_p transposed up to row and column
+        signs in the complementary monomial basis (Hazewinkel, Math. USSR
+        Sb. 12, 1970), and complements reverse the (weight, idx) order of
+        rows and columns alike; every lower-left rank, hence every pair and
+        its gap, corresponds (de Silva-Morozov-Vejdemo-Johansson, Inverse
+        Problems 27, 2011).  Cached per degree.
+        """
+        got = self._pairings.get(p)
+        if got is None:
+            n = self.n
+            if 2 * p > n - 1:
+                full = frozenset(range(1, n + 1))
+                got = {tuple(sorted(full.difference(idx))): gap
+                       for idx, gap in self.pairing(n - 1 - p).items()}
+            else:
+                got = self._reduce(p)
+            self._pairings[p] = got
+        return got
+
+    def _reduce(self, p: int) -> dict:
+        """The pairing of degree p by column reduction.
+
         The columns are reduced in the (weight, idx) order by adding earlier
         reduced columns that share their low; a column left nonzero pairs
         with its low.  The column of a low of d on (p-1)-forms reduces to
         zero (its d is d of earlier columns, as d^2 = 0), so it is skipped
         (clearing).  On a rational algebra the columns are primitive integer
         vectors reduced by ``clear_integer``, a nonzero multiple of the field
-        update, so every low is the same.  Cached per degree.
+        update, so every low is the same.
         """
-        got = self._pairings.get(p)
-        if got is not None:
-            return got
         cleared = self.pairing(p - 1) if p > 0 else {}
         gaps: dict = {}
         rows, row_weights = self.bases[p + 1], self.weights[p + 1]
@@ -176,7 +218,6 @@ class _PageComputer:
                     col = clear_integer(col, other, low)
                 else:
                     vec_axpy_into(col, -col[low] / other[low], other)
-        self._pairings[p] = gaps
         return gaps
 
     def z_vectors(self, r: int, w: int, p: int) -> list[dict]:
@@ -287,19 +328,28 @@ def page_dimensions(a: LieAlgebra,
 
 
 def _page_dimensions(comp: _PageComputer) -> list[dict]:
-    """``page_dimensions`` of the filtered complex of comp."""
+    """``page_dimensions`` of the filtered complex of comp.
+
+    The degrees p <= n/2 are counted; the rest mirror them by the duality
+    of ``_PageComputer.pairing``, dim E_r(w, p) = dim E_r(N - w, n - p)
+    with N = n(n+1)/2, so no monomial basis above degree ceil(n/2) is built.
+    """
     n = comp.n
+    half, top = n // 2, n * (n + 1) // 2
     gaps: dict = {}  # monomials absent from every pairing are unpaired
-    for p in range(n):
+    for p in range(half + 1):
         gaps.update(comp.pairing(p))
 
     def dims_on(r) -> dict:
         # an unpaired monomial counts on every page, r = inf included
         dims: dict = {}
-        for p in range(n + 1):
+        for p in range(half + 1):
             for idx, w in zip(comp.bases[p], comp.weights[p]):
                 if gaps.get(idx, r) >= r:
                     dims[(w, p)] = dims.get((w, p), 0) + 1
+        for (w, p), d in list(dims.items()):
+            if n - p > half:
+                dims[(top - w, n - p)] = d
         return dims
 
     betti = degree_totals(dims_on(math.inf))

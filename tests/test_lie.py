@@ -254,6 +254,25 @@ def test_change_basis_rejects_a_singular_basis():
         change_basis(a, [{1: Fraction(1)}, {2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}])
 
 
+def test_signed_brackets_hold_both_orders():
+    a = catalog.build("g10", alpha=Fraction(2, 3))
+    for (i, j), comps in a.brackets.items():
+        assert a.signed_brackets[i][j] == comps
+        assert a.signed_brackets[j][i] == {k: -c for k, c in comps.items()}
+    pairs = {(i, j) for i, row in a.signed_brackets.items() for j in row}
+    assert pairs == set(a.brackets) | {(j, i) for i, j in a.brackets}
+    a.bracket(2, 1)[99] = 1  # a copy: the table is unchanged
+    assert 99 not in a.signed_brackets[2][1]
+
+
+def test_change_basis_by_the_unit_vectors_keeps_the_table():
+    a = catalog.build("deformation_23", alphas=(1, 2, 3))
+    units = [{i: Fraction(1)} for i in range(1, a.dim + 1)]
+    b = change_basis(a, units, weights=range(1, a.dim + 1))
+    assert b.brackets == a.brackets and b.weights == tuple(range(1, a.dim + 1))
+    assert change_basis(a, units).weights is None
+
+
 def test_adapted_basis_on_scaled_and_mixed_basis():
     a = catalog.build("V", n=9)
     vectors = [{1: Fraction(2), 2: Fraction(1)}, {2: Fraction(3)}]

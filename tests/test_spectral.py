@@ -155,15 +155,16 @@ def test_pages_and_survival_build_one_computer(built, monkeypatch):
 
 
 def reference_pairing(comp, p):
-    """The persistence pairing by the field update on Fraction columns, with
-    no clearing: {paired monomial: gap}."""
+    """The persistence pairing by the field update on Fraction or Q(alpha)
+    columns, with no clearing and no duality: {paired monomial: gap}."""
     from filiform.linalg import vec_axpy_into
+    from filiform.scalars import as_scalar
     gaps = {}
     rows, row_weights = comp.bases[p + 1], comp.weights[p + 1]
     pos = {idx: i for i, idx in enumerate(rows)}
     by_low = {}
     for idx, w in zip(comp.bases[p], comp.weights[p]):
-        col = {pos[m]: Fraction(c) for m, c in comp.d_of(idx).items()}
+        col = {pos[m]: as_scalar(c) for m, c in comp.d_of(idx).items()}
         while col:
             low = max(col)
             other = by_low.get(low)
@@ -181,6 +182,11 @@ PAIRING_CASES = DEFORMATIONS + [
     ("(21) dim 9 at 2/3", catalog.build("deformation_21", n=9, alphas=(Fraction(2, 3),))),
     ("t=2 dim 8 at -3/2", catalog.build("abelian_commutant", n=8, t=2,
                                         alphas=(Fraction(-3, 2),))),
+    # the pairings above degree (n-1)/2 are read by duality: odd and even n
+    ("(21) dim 13", catalog.build("deformation_21", n=13, alphas=(1,))),
+    ("(21) dim 14", catalog.build("deformation_21", n=14, alphas=(1,))),
+    ("t=1 dim 10", catalog.build("abelian_commutant", n=10, t=1)),
+    ("symbolic g9", catalog.family_symbolic("g9")),
 ]
 
 
@@ -189,6 +195,106 @@ def test_integer_pairing_matches_fraction_pairing(label, a):
     comp = _PageComputer(adapted_basis(a).algebra)
     for p in range(a.dim):
         assert comp.pairing(p) == reference_pairing(comp, p), (label, p)
+
+
+class _UnmirroredPageComputer(_PageComputer):
+    """Reduces the pairing of every degree by columns, with no duality."""
+
+    def pairing(self, p):
+        if p not in self._pairings:
+            self._pairings[p] = self._reduce(p)
+        return self._pairings[p]
+
+
+def counted_page_dimensions(comp):
+    """Page dimensions counted over every degree from the pairings of comp,
+    with the stop rule of ``page_dimensions``."""
+    from filiform.spectral import degree_totals
+    n = comp.n
+    gaps = {}
+    for p in range(n):
+        gaps.update(comp.pairing(p))
+
+    def dims_on(r):
+        dims = {}
+        for p in range(n + 1):
+            for idx, w in zip(comp.bases[p], comp.weights[p]):
+                if gaps.get(idx, r) >= r:
+                    dims[(w, p)] = dims.get((w, p), 0) + 1
+        return dims
+
+    betti = degree_totals(dims_on(float("inf")))
+    pages = []
+    for r in range(1, 2 * n + 2):
+        pages.append(dims_on(r))
+        if degree_totals(pages[-1]) == betti:
+            break
+    return pages
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_page_dimensions_match_the_reduction_of_every_degree(n):
+    # the mirrored counts against a column reduction of every degree
+    a = catalog.build("deformation_21", n=n, alphas=(1,))
+    ab = adapted_basis(a)
+    oracle = counted_page_dimensions(_UnmirroredPageComputer(ab.algebra))
+    assert page_dimensions(a, ab) == oracle
+
+
+def test_page_dimensions_build_only_the_lower_half_of_the_bases(monkeypatch):
+    import filiform.spectral as spectral
+    built_degrees = []
+    enumerate_degree = spectral.monomials_by_weight
+
+    def recording(n, p, weights):
+        built_degrees.append(p)
+        return enumerate_degree(n, p, weights)
+
+    monkeypatch.setattr(spectral, "monomials_by_weight", recording)
+    for a in (catalog.build("deformation_21", n=8, alphas=(1,)),
+              catalog.build("deformation_21", n=9, alphas=(1,)),
+              catalog.build("deformation_23", alphas=(1, 2, 3))):
+        built_degrees.clear()
+        page_dimensions(a)
+        assert max(built_degrees) <= (a.dim + 1) // 2, a
+        assert len(built_degrees) == len(set(built_degrees)), "a degree was built twice"
+
+
+def test_page_computer_rejects_a_table_with_nonzero_trace():
+    # [e1, e2] = e2: ad(e1) has trace 1, so d on L^1 is nonzero and the
+    # duality of the pairing fails
+    from filiform.lie import LieAlgebra
+    with pytest.raises(AssertionError, match="unimodular"):
+        _PageComputer(LieAlgebra(2, {(1, 2): {2: 1}}))
+
+
+BASE_CHANGE_CASES = [
+    ("(21) dim 9", catalog.build("deformation_21", n=9, alphas=(1,))),
+    ("t=2 dim 8 at -3/2", catalog.build("abelian_commutant", n=8, t=2,
+                                        alphas=(Fraction(-3, 2),))),
+    ("(23) at 1,2,3", catalog.build("deformation_23", alphas=(1, 2, 3))),
+]
+
+
+@pytest.mark.parametrize("label, a", BASE_CHANGE_CASES,
+                         ids=[c[0] for c in BASE_CHANGE_CASES])
+def test_pages_and_verdict_survive_a_random_base_change(label, a):
+    import random
+
+    from filiform.structures import OddDimension, symplectic_exists
+    from test_lie import random_base_change
+
+    def verdict(x):
+        try:
+            cert = symplectic_exists(x)
+        except OddDimension:
+            return "odd dimension"
+        return cert.exists, cert.reason
+
+    # no weights: the adapted basis and its filtration are found again
+    b = random_base_change(a, random.Random(label), 0.4)
+    assert page_dimensions(b) == page_dimensions(a), label
+    assert verdict(b) == verdict(a), label
 
 
 def test_symbolic_family_pages_match_its_members():
@@ -366,7 +472,6 @@ CORNER_CASES = [c for c in PAIRING_CASES if c[1].dim % 2 == 0] + [
     ("m0(8)", catalog.build("m0", n=8)),
     ("(21) dim 10", catalog.build("deformation_21", n=10, alphas=(1,))),
     ("(21) dim 8 graded", catalog.build("deformation_21", n=8, alphas=())),
-    ("t=1 dim 10", catalog.build("abelian_commutant", n=10, t=1)),
     ("(23) at 1,0,0", catalog.build("deformation_23", alphas=(1, 0, 0))),
     ("graded m2(8)", catalog.build("m2", n=8)),
 ]

@@ -25,10 +25,6 @@ class GuardViolated(ValueError):
     pass
 
 
-class NoPrintedForm(LookupError):
-    pass
-
-
 def _as_param(x):
     if isinstance(x, RatFunc):
         return x
@@ -380,49 +376,6 @@ def form_g10_symplectic(alpha) -> Form:
         (4, 7): 3 * (2 * a * a + 4 * a + 5) / d2,
         (5, 6): 3 * (4 * a + 1) / d2,
     })
-
-
-def form_m0_general(k: int, gamma=1, lower=None) -> Form:
-    """General symplectic family on m0(2k): gamma * omega + lower-weight sums.
-
-    ``lower`` maps l in 2..k-1 to the coefficient gamma_{2l+1} of
-    sum_{i=2..l} (-1)^i e^i ^ e^{2l-i+1}.
-    """
-    g = _as_param(gamma)
-    out = form_m0_symplectic(k, beta=1).scale(g)
-    for l, c in (lower or {}).items():
-        c = _as_param(c)
-        if not (2 <= l <= k - 1):
-            raise GuardViolated("lower-weight index out of range")
-        for i in range(2, l + 1):
-            out = out.add(Form(2, {(i, 2 * l - i + 1): c * ((-1) ** i)}))
-    return out
-
-
-def form_v_general(k: int, gamma=1, gamma5=0, gamma7=0) -> Form:
-    out = form_v_symplectic(k).scale(_as_param(gamma))
-    out = out.add(Form(2, {(2, 3): _as_param(gamma5)}))
-    g7 = _as_param(gamma7)
-    return out.add(Form(2, {(2, 5): g7, (3, 4): -3 * g7}))
-
-
-def printed_form(name: str, **params) -> Form:
-    """The classical symplectic form attached to a catalog name, if any."""
-    if name == "V":
-        n = params.get("n", 2 * params.get("k", 0))
-        if n % 2:
-            raise NoPrintedForm("omega_{2k+1} lives on even-dimensional V_2k")
-        return form_v_symplectic(n // 2)
-    if name == "m0":
-        n = params.get("n", 2 * params.get("k", 0))
-        if n % 2:
-            raise NoPrintedForm("the symplectic family lives on m0(2k)")
-        return form_m0_symplectic(n // 2, params.get("beta", 1))
-    if name == "g8":
-        return form_g8_symplectic(params["alpha"])
-    if name == "g10":
-        return form_g10_symplectic(params["alpha"])
-    raise NoPrintedForm(f"no classical form attached to {name!r}")
 
 
 def symplectic_exclusions(name: str) -> set[Fraction]:

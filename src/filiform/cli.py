@@ -53,10 +53,14 @@ def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
         doc = json.loads(raw)
         algebra = LieAlgebra.from_dict(doc, check=False)
         _bounded_dim(algebra.dim)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise InputError(f"cannot read algebra from {path}: missing field {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
         raise InputError(f"cannot read algebra from {path}: {exc}") from exc
     except ZeroDivisionError as exc:
         raise InputError(f"cannot read algebra from {path}: zero denominator, {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read algebra from {path}: nested too deeply") from exc
     if check and not d_squared_zero(algebra):
         raise InputError(f"cannot read algebra from {path}: "
                          "Jacobi identity fails (d^2 != 0)")

@@ -42,10 +42,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (Matrix, Subspace, Vec, kernel_of_map, pfaffian,
-                     pivot_columns, rref, vec_combination)
+from .linalg import (Matrix, Vec, kernel_of_map, pfaffian, pivot_columns, rref,
+                     vec_combination)
 from .lie import LieAlgebra
-from .scalars import MPoly, as_scalar, format_rat, rat, scalar_at
+from .scalars import MPoly, as_scalar, format_rat, rat
 
 
 class WeightsMissing(ValueError):
@@ -126,9 +126,6 @@ class Form:
                 out.pop(idx, None)
         return Form(self.degree, out)
 
-    def sub(self, other: "Form") -> "Form":
-        return self.add(other.scale(-1))
-
     def scale(self, c) -> "Form":
         c = as_scalar(c)
         if not c:
@@ -149,17 +146,6 @@ class Form:
                 else:
                     out.pop(idx, None)
         return Form(self.degree + other.degree, out)
-
-    def weight_components(self, weights) -> dict[int, "Form"]:
-        """Split into weight-homogeneous pieces; weights is 1-based per index."""
-        buckets: dict[int, dict] = {}
-        for idx, c in self.coeffs.items():
-            w = sum(weights[i - 1] for i in idx)
-            buckets.setdefault(w, {})[idx] = c
-        return {w: Form(self.degree, cs) for w, cs in sorted(buckets.items())}
-
-    def at_parameter(self, t: Fraction) -> "Form":
-        return Form(self.degree, {idx: scalar_at(c, t) for idx, c in self.coeffs.items()})
 
     def to_pairs(self) -> list:
         return [[list(idx), format_rat(c)] for idx, c in sorted(self.coeffs.items())]
@@ -421,20 +407,6 @@ def coboundary_space(a: LieAlgebra, p: int, weight: int | None = None) -> list[F
     images = [d_monomial(a, idx) for idx in below]
     _, rows = rref([v for v in images if v])
     return [Form(p, r) for r in rows]
-
-
-def is_cohomologous(a: LieAlgebra, f: Form, g: Form) -> bool:
-    """Whether f - g is a coboundary; both arguments must be cocycles."""
-    if f.degree != g.degree:
-        raise ValueError("degree mismatch")
-    for phi in (f, g):
-        if differential(a, phi):
-            raise NotCocycle(f"{phi!r} is not closed")
-    diff = f.sub(g)
-    if diff.is_zero():
-        return True
-    gens = [b.coeffs for b in coboundary_space(a, f.degree)]
-    return Subspace.span(gens).contains(diff.coeffs)
 
 
 def betti_numbers(a: LieAlgebra) -> list[int]:

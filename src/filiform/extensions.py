@@ -79,28 +79,6 @@ def central_extension(x: ExtensionCocycle) -> LieAlgebra:
     return LieAlgebra(n + 1, table, weights=weights)
 
 
-def quotient_by_extension(a: LieAlgebra) -> LieAlgebra:
-    """Quotient by the central line spanned by the last basis vector."""
-    n = a.dim
-    for i in range(1, n):
-        if a.bracket(i, n):
-            raise ValueError("last basis vector is not central")
-    table = {}
-    for (i, j), comps in a.brackets.items():
-        kept = {k: c for k, c in comps.items() if k != n}
-        if kept:
-            table[(i, j)] = kept
-    weights = a.weights[:-1] if a.weights is not None else None
-    return LieAlgebra(n - 1, table, weights=weights)
-
-
-def extension_cocycle_of(a: LieAlgebra) -> Form:
-    """The cocycle read off the last coordinate of an extended bracket table."""
-    n = a.dim
-    return Form(2, {(i, j): comps[n]
-                    for (i, j), comps in a.brackets.items() if n in comps and j != n})
-
-
 def is_filiform_extension(x: ExtensionCocycle) -> bool:
     """Whether the extension of a filiform base is filiform again.
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .linalg import SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy
-from .scalars import RatFunc, as_scalar, format_rat, rat, scalar_at
+from .scalars import as_scalar, format_rat, rat, scalar_at
 
 
 class NotNilpotent(ValueError):
@@ -139,9 +139,6 @@ class LieAlgebra:
                  for (i, j), comps in self.brackets.items()}
         return LieAlgebra(self.dim, table, weights=self.weights, labels=self.labels)
 
-    def is_parametric(self) -> bool:
-        return any(isinstance(c, RatFunc) for _, _, _, c in self.structure_terms())
-
     # -- interchange format ---------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -155,16 +152,25 @@ class LieAlgebra:
 
     @staticmethod
     def from_dict(doc: dict, check: bool = True) -> "LieAlgebra":
-        """Parse the interchange JSON document; untrusted input is Jacobi-checked."""
+        """Parse the interchange JSON document.  Untrusted input is read
+        strictly: the dimension and every index are JSON integers, every
+        coefficient is an integer or a "num/den" string (a bool is neither),
+        and the table is Jacobi-checked."""
+        if not isinstance(doc, dict):
+            raise ValueError("the document is not a JSON object")
+        dim = _document_int(doc["dim"], "dim")
+        if dim < 1:
+            raise ValueError(f"dimension {dim} is not positive")
         table = {}
         for i, j, comps in doc["brackets"]:
-            table[(int(i), int(j))] = {int(k): rat(c) for k, c in comps}
+            table[(_document_int(i, "bracket index"), _document_int(j, "bracket index"))] = {
+                _document_int(k, "component index"): _document_rat(c) for k, c in comps}
         weights = doc.get("weights")
-        if weights is not None and len(weights) != int(doc["dim"]):
-            raise ValueError(f"{len(weights)} weights for dimension {doc['dim']}")
+        if weights is not None and len(weights) != dim:
+            raise ValueError(f"{len(weights)} weights for dimension {dim}")
         if weights is not None and not all(type(w) is int for w in weights):
             raise ValueError("weights must be integers")
-        a = LieAlgebra(int(doc["dim"]), table, weights=weights)
+        a = LieAlgebra(dim, table, weights=weights)
         if check:
             bad = jacobi_check(a)
             if bad:
@@ -172,14 +178,25 @@ class LieAlgebra:
                 raise ValueError(f"Jacobi identity fails at ({i},{j},{k}): defect {defect}")
         return a
 
-    def with_weights(self, weights) -> "LieAlgebra":
-        return LieAlgebra(self.dim, self.brackets, weights=weights, labels=self.labels)
-
     def __repr__(self) -> str:
         terms = ", ".join(
             f"[e{i},e{j}]={'+'.join(f'({c})e{k}' for k, c in sorted(comps.items()))}"
             for (i, j), comps in sorted(self.brackets.items()))
         return f"LieAlgebra(dim={self.dim}: {terms or 'abelian'})"
+
+
+def _document_int(x, what: str) -> int:
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
+def _document_rat(x) -> Fraction:
+    # decimal digits only: Fraction also reads "1e100000000", a 10^8-digit integer
+    if type(x) is int or (isinstance(x, str) and all(
+            part.isascii() and part.isdigit() for part in x.removeprefix("-").split("/", 1))):
+        return rat(x)
+    raise ValueError(f"coefficient must be an integer or a \"num/den\" string, not {x!r}")
 
 
 def abelian(n: int) -> LieAlgebra:
@@ -284,18 +301,6 @@ def _generated_images(a: LieAlgebra, gens: list[Vec], dim_c2: int) -> list[Vec] 
         if len(index) == dim_c2:
             return images
     return None
-
-
-def is_nilpotent(a: LieAlgebra) -> bool:
-    return central_series(a)[-1].dim == 0
-
-
-def nil_index(a: LieAlgebra) -> int:
-    """Largest s with C^s != 0 (requires nilpotent input)."""
-    series = central_series(a)
-    if series[-1].dim != 0:
-        raise NotNilpotent("central series does not reach zero")
-    return len(series) - 1
 
 
 def is_filiform(a: LieAlgebra) -> bool:
@@ -467,16 +472,6 @@ def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
     return AdaptedBasis(tuple(vecs), adapted, alpha)
 
 
-def vergne_class(a: LieAlgebra) -> str:
-    """'m0' or 'm1': which graded algebra gr_C of this filiform algebra is.
-
-    gr_C is of m1 type exactly when no adapted basis reaches alpha = 0, and
-    the constructed basis has alpha = 0 on m0 type (its e_2 centralizes
-    C^{n-2}), so its alpha decides.
-    """
-    return "m1" if adapted_basis(a).alpha else "m0"
-
-
 # ---------------------------------------------------------------------------
 # associated graded algebras
 # ---------------------------------------------------------------------------
@@ -583,68 +578,3 @@ def m0_certificate(g: LieAlgebra) -> list[Vec] | None:
     if rewritten.brackets != expected:
         return None
     return chain
-
-
-# ---------------------------------------------------------------------------
-# filtrations and direct sums
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Filtration:
-    """Decreasing chain of subspaces F^1 >= F^2 >= ... of a Lie algebra."""
-
-    algebra: LieAlgebra
-    subspaces: tuple  # tuple[Subspace], F^1 first
-
-    def is_compatible(self) -> bool:
-        """Check [F^k, F^l] <= F^{k+l} on spanning vectors."""
-        m = len(self.subspaces)
-
-        def piece(k: int) -> Subspace:
-            if k <= 0:
-                return self.subspaces[0]
-            if k > m:
-                return Subspace.span([])
-            return self.subspaces[k - 1]
-
-        for k in range(1, m + 1):
-            for l in range(k, m + 1):
-                target = piece(k + l)
-                for x in piece(k).basis():
-                    for y in piece(l).basis():
-                        if not target.contains(self.algebra.bracket_vec(x, y)):
-                            return False
-        return True
-
-
-def central_filtration(a: LieAlgebra) -> Filtration:
-    series = central_series(a)
-    if series[-1].dim != 0:
-        raise NotNilpotent("central filtration of a non-nilpotent algebra")
-    return Filtration(a, tuple(series))
-
-
-def adapted_filtration(a: LieAlgebra, adapted: AdaptedBasis | None = None) -> Filtration:
-    """The filtration L^k = span(e_k, ..., e_n) of an adapted basis (alpha=0)."""
-    if adapted is None:
-        adapted = adapted_basis(a)
-    if adapted.alpha:
-        raise AlphaNonzero("antidiagonal alpha != 0: filtration L undefined")
-    vs = list(adapted.vectors)
-    subs = [Subspace.span(vs[k:]) for k in range(a.dim)]
-    subs.append(Subspace.span([]))
-    return Filtration(a, tuple(subs))
-
-
-def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
-    """Block-diagonal bracket table on the concatenated bases."""
-    table = {}
-    for (i, j), comps in a.brackets.items():
-        table[(i, j)] = dict(comps)
-    off = a.dim
-    for (i, j), comps in b.brackets.items():
-        table[(i + off, j + off)] = {k + off: c for k, c in comps.items()}
-    weights = None
-    if a.weights is not None and b.weights is not None:
-        weights = list(a.weights) + list(b.weights)
-    return LieAlgebra(a.dim + b.dim, table, weights=weights)

@@ -71,10 +71,6 @@ def vec_scale(a: Vec, c) -> Vec:
     return {k: c * v for k, v in a.items()}
 
 
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return vec_add(a, vec_scale(b, -1))
-
-
 def vec_axpy_into(out: Vec, c, b: Vec) -> None:
     """out += c*b, in place."""
     for k, v in b.items():

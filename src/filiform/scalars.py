@@ -30,6 +30,7 @@ Fraction is built inside it.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from operator import index
@@ -48,7 +49,17 @@ def rat(x) -> Fraction:
 
 
 def format_rat(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    num = _digits(x.numerator)
+    return f"{num}/{_digits(x.denominator)}" if x.denominator != 1 else num
+
+
+def _digits(m: int) -> str:
+    """str(m), also past sys.get_int_max_str_digits(): that cap guards str()
+    but not Decimal, and an exact result may outgrow it on inputs below it."""
+    try:
+        return str(m)
+    except ValueError:
+        return str(Decimal(m))
 
 
 def as_scalar(x):

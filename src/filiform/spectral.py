@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .cochain import (Form, cohomology, d_monomial, differential,
-                      monomials_by_weight, nondegenerate_point)
+from .cochain import (Form, d_monomial, differential, monomials_by_weight,
+                      nondegenerate_point)
 from .lie import AdaptedBasis, LieAlgebra, adapted_basis
 from .linalg import (Matrix, Subspace, all_rational, clear_integer, integer_row,
                      kernel_of_map, pfaffian, rref, vec_axpy_into,
@@ -481,12 +481,3 @@ def canonical_block_representative(a: LieAlgebra, r: int, w: int, p: int,
     if not Subspace.span(comp.z_vectors(r, w, p)).contains(vec):
         raise ValueError("form does not represent a class on this page")
     return Form(p, comp.boundary_space(r, w, p).reduce(vec))
-
-
-def h3_weight_profile(a: LieAlgebra) -> list[int]:
-    """Weights (with multiplicity) of the homogeneous generators of H^3."""
-    if a.weights is None:
-        raise ValueError("weight profile needs a graded algebra")
-    # each representative lies in one weight block, in ascending weight
-    return [sum(a.weights[i - 1] for i in next(iter(f.coeffs)))
-            for f in cohomology(a, 3).representatives]

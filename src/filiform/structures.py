@@ -203,15 +203,8 @@ def _pullback_to_original(a: LieAlgebra, ab: AdaptedBasis, omega: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous decomposition, contactization, contact search
+# contactization, contact search
 # ---------------------------------------------------------------------------
-
-def homogeneous_decomposition(a: LieAlgebra, phi: Form) -> dict[int, Form]:
-    """Split a form into weight-homogeneous pieces of a graded algebra."""
-    if a.weights is None:
-        raise ValueError("homogeneous decomposition needs a graded algebra")
-    return phi.weight_components(a.weights)
-
 
 def contactize(a: LieAlgebra, omega: Form) -> tuple[LieAlgebra, Form]:
     """Central extension by a symplectic cocycle, with its contact form.

@@ -100,17 +100,15 @@ def test_g_family_symbolic_matches_instances():
 
 
 def test_printed_form_v_and_m0():
-    w = catalog.printed_form("V", k=6)
+    w = catalog.form_v_symplectic(6)
     assert w.coeffs[(1, 12)] == 11 and w.coeffs[(6, 7)] == 1
-    w = catalog.printed_form("m0", k=4, beta=1)
+    w = catalog.form_m0_symplectic(4, beta=1)
     assert w.coeffs[(1, 8)] == 1 and w.coeffs[(2, 7)] == 1 and w.coeffs[(3, 6)] == -1
-    with pytest.raises(catalog.NoPrintedForm):
-        catalog.printed_form("abelian", n=5)
 
 
 def test_printed_g8_form_is_the_weight9_cocycle():
     a = catalog.build("g8", alpha=3)
-    w = catalog.printed_form("g8", alpha=3)
+    w = catalog.form_g8_symplectic(3)
     assert differential(a, w).is_zero()
     assert w.coeffs[(2, 7)] == Fraction(2 * 9 + 9 - 2, 11)
 

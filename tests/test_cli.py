@@ -1,14 +1,19 @@
 """CLI: commands, exit codes, canonical JSON output."""
 
+import contextlib
+import io
 import json
 import os
 import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from filiform import catalog, cli
 from filiform.cli import main
@@ -298,12 +303,52 @@ def _broken_grading(doc):
     doc["weights"] = doc["weights"][::-1]
 
 
+def _fractional_index(doc):
+    doc["brackets"][0][0] = 1.5  # int() would read [e1, e2] = e3
+
+
+def _bool_index(doc):
+    doc["brackets"][0][0] = True
+
+
+def _fractional_dim(doc):
+    doc["dim"] = 6.7
+
+
+def _bool_coefficient(doc):
+    doc["brackets"][0][2][0][1] = True
+
+
+def _float_coefficient(doc):
+    doc["brackets"][0][2][0][1] = 1.0
+
+
+def _exponent_coefficient(doc):
+    doc["brackets"][0][2][0][1] = "1e100000"  # Fraction reads 10^100000
+
+
+def _string_component(doc):
+    doc["brackets"][0][2][0][0] = "3"
+
+
+def _zero_dim(doc):
+    doc.update(dim=0, brackets=[], weights=[])
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_zero_denominator, "zero denominator"),
     (_short_weights, "5 weights for dimension 6"),
     (_null_weight, "weights must be integers"),
     (_broken_jacobi, "Jacobi identity fails"),
     (_broken_grading, "weights break the grading at (i, j, k) = (1, 2, 3)"),
+    (_fractional_index, "bracket index must be an integer, not 1.5"),
+    (_bool_index, "bracket index must be an integer, not True"),
+    (_fractional_dim, "dim must be an integer, not 6.7"),
+    (_bool_coefficient, 'coefficient must be an integer or a "num/den" string, not True'),
+    (_float_coefficient, 'coefficient must be an integer or a "num/den" string, not 1.0'),
+    (_exponent_coefficient, 'coefficient must be an integer or a "num/den" string, not \'1e100000\''),
+    (_string_component, "component index must be an integer, not '3'"),
+    (_zero_dim, "dimension 0 is not positive"),
 ])
 def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
     from filiform import catalog
@@ -328,6 +373,101 @@ def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
         assert captured.err.startswith("error: cannot read algebra")
         assert reason in captured.err
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_deeply_nested_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "nested too deeply" in captured.err
+
+
+# -- fuzzing the document loader ---------------------------------------------------
+
+FUZZ_COMMANDS = (["check"], ["cohomology", "--degree", "2"], ["symplectic"],
+                 ["contact"], ["spectral", "--report"])
+
+# rationals as a document may spell them: signs, zero and huge denominators,
+# spaces, decimals, exponents, and strings that are no number at all
+ODD_RATIONALS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)),
+    st.integers(-10**30, 10**30),
+    st.sampled_from(["0", "-0", "1/0", "0/0", "3/-4", " 1/2 ", "1.5", "1e400", "1e100000",
+                     "-2.5e-3", "nan", "inf", "", "1//2", "1/2/3", "0x10", "\u00bd", "\u0661"]),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.floats() | st.text(max_size=4)
+    | ODD_RATIONALS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+
+
+def _slots(node, path=()):
+    """The path of every value inside a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """m0(6) with one to three fields dropped, retyped, nested or re-spelled,
+    or now and then no document at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    doc = catalog.build("m0", n=6).to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        *head, key = draw(st.sampled_from(slots))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        action = draw(st.sampled_from(["drop", "retype", "nest", "rational", "index"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "retype":
+            parent[key] = draw(JSON_VALUES)
+        elif action == "nest":
+            parent[key] = draw(st.sampled_from([[parent[key]], {"v": parent[key]}]))
+        elif action == "rational":
+            parent[key] = draw(ODD_RATIONALS)
+        else:
+            parent[key] = draw(st.integers(-1, 8))
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(doc=mutated_documents())
+@example(doc={"dim": 6, "brackets": [[1.5, 2, [[3, "1"]]]]})
+@example(doc={"dim": 0, "brackets": []})
+# a verdict whose exact output passes Python's 4300-digit str() cap
+@example(doc={"dim": 6, "brackets": [[1, 2, [[3, "9" * 4000]]], [1, 3, [[4, "1"]]],
+                                     [1, 4, [[5, "1"]]], [1, 5, [[6, "1"]]]]})
+def test_fuzzed_document_gets_a_verdict_or_a_reason(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    for argv in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in out + err
+        if code == 1 and not (argv == ["check"] and out):
+            # check reports a broken table on stdout and exits 1
+            assert err.startswith("error: ") and err.strip() != "error:", (argv, err)
+        if code == 2:
+            assert err.startswith("internal invariant violation: "), (argv, err)
+    assert time.perf_counter() - t0 < 5, doc
 
 
 def _grid_exhausted(a):

@@ -10,9 +10,9 @@ from filiform.extensions import (CenterNotOneDimensional, ExtensionCocycle,
                                  NotGradedFiliform, _family_top, _filiform_split,
                                  _top_weight_reps, central_extension,
                                  chain_constants, classify_graded,
-                                 enumerate_graded_filiform, extension_cocycle_of,
+                                 enumerate_graded_filiform,
                                  family_parameter_match, graded_isomorphic,
-                                 is_filiform_extension, quotient_by_extension)
+                                 is_filiform_extension)
 from filiform.lie import (LieAlgebra, abelian, change_basis, is_filiform,
                           jacobi_check, grading_violations)
 from filiform.linalg import rank_drop_candidates
@@ -47,8 +47,13 @@ def test_extension_quotient_round_trip():
     base = catalog.build("m2", n=6)
     c = F(2, [[[1, 6], "1"], [[2, 5], "1"]])
     ext = central_extension(ExtensionCocycle(base, c))
-    assert quotient_by_extension(ext).brackets == base.brackets
-    assert extension_cocycle_of(ext) == c
+    n = base.dim
+    # the quotient by the central line e_{n+1}, and the cocycle on that line
+    quotient = {key: {k: v for k, v in comps.items() if k <= n}
+                for key, comps in ext.brackets.items() if key[1] <= n}
+    assert LieAlgebra(n, quotient).brackets == base.brackets
+    assert Form(2, {key: comps[n + 1] for key, comps in ext.brackets.items()
+                    if n + 1 in comps}) == c
 
 
 def test_jacobi_by_construction():
@@ -139,7 +144,7 @@ def test_not_graded_filiform():
     with pytest.raises(NotGradedFiliform):
         chain_constants(catalog.build("m1", n=8))  # weights are not 1..n
     with pytest.raises(NotGradedFiliform):
-        chain_constants(abelian(5).with_weights(range(1, 6)))
+        chain_constants(LieAlgebra(5, {}, weights=range(1, 6)))
 
 
 def reference_chain_constants(a):
@@ -188,7 +193,7 @@ def _chain_oracle_cases():
         base = catalog.build(name, n=n)
         u, (w,) = _filiform_split(_top_weight_reps(base), n)
         line = central_extension(ExtensionCocycle(base, u.add(w.scale(RatFunc.t()))))
-        assert line.is_parametric()
+        assert any(isinstance(c, RatFunc) for *_, c in line.structure_terms())
         yield pytest.param(line, id=f"{name}({n}) line")
     a = catalog.build("g8", alpha=Fraction(1, 3))
     vecs = [{1: Fraction(3)}, {2: Fraction(1, 2)}]

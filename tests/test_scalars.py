@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from filiform import catalog
 from filiform.extensions import _family_top
-from filiform.scalars import Poly, RatFunc, rational_roots
+from filiform.scalars import Poly, RatFunc, format_rat, rational_roots
 
 T = sympy.Symbol("t")
 
@@ -227,3 +227,9 @@ def test_exact_arithmetic_corners():
 def test_family_rank_drops_are_pinned(name, drops):
     # kernel_and_rank_drops on d at the top weight of the family over Q(alpha)
     assert _family_top(catalog.family_symbolic(name))[1] == [Fraction(d) for d in drops]
+
+
+def test_format_rat_prints_past_the_int_string_cap():
+    # str() refuses integers beyond sys.get_int_max_str_digits() (4300 by default)
+    assert format_rat(Fraction(10**5000, 3)) == "1" + "0" * 5000 + "/3"
+    assert format_rat(Fraction(-(10**5000))) == "-1" + "0" * 5000

@@ -8,11 +8,17 @@ from filiform import catalog
 from filiform.cochain import Form, betti_numbers, cohomology, lambda_basis
 from filiform.lie import adapted_basis, gr_l
 from filiform.spectral import (FiltrationUndefined, _PageComputer, build_pages,
-                               canonical_block_representative,
-                               h3_weight_profile, page_dimensions,
+                               canonical_block_representative, page_dimensions,
                                symplectic_survival)
 
 F = Form.from_pairs
+
+
+def h3_weight_profile(a):
+    """Weights, with multiplicity, of the homogeneous generators of H^3; each
+    representative lies in one weight block, in ascending weight."""
+    return [sum(a.weights[i - 1] for i in next(iter(f.coeffs)))
+            for f in cohomology(a, 3).representatives]
 
 
 DEFORMATIONS = [

@@ -14,8 +14,7 @@ from filiform.lie import abelian
 from filiform.linalg import pfaffian, vec_combination
 from filiform.structures import (EvenDimension,
                                  NotSymplectic, OddDimension, contact_check,
-                                 contact_exists, contactize,
-                                 homogeneous_decomposition, is_symplectic_form,
+                                 contact_exists, contactize, is_symplectic_form,
                                  symplectic_catalog_check, symplectic_exists,
                                  wedge_power)
 
@@ -281,6 +280,24 @@ def test_symplectic_verdict_computes_the_central_series_once(monkeypatch):
 
 # -- homogeneous decomposition ----------------------------------------------------------
 
+# The general symplectic forms of the paper: the printed form plus closed
+# lower-weight terms.  On m0(2k), gamma_{2l+1} adds
+# sum_{i=2..l} (-1)^i e^i ^ e^{2l-i+1}; on V_2k, gamma_5 adds e^2 ^ e^3 and
+# gamma_7 adds e^2 ^ e^5 - 3 e^3 ^ e^4.
+M0_10_GENERAL = catalog.form_m0_symplectic(5, beta=1).add(  # gamma_5 = 1, gamma_7 = -1
+    F(2, [[[2, 3], "1"], [[2, 5], "-1"], [[3, 4], "1"]]))
+V12_GENERAL = catalog.form_v_symplectic(6).add(  # gamma_5 = gamma_7 = 1
+    F(2, [[[2, 3], "1"], [[2, 5], "1"], [[3, 4], "-3"]]))
+
+
+def homogeneous_decomposition(a, omega):
+    """The weight-homogeneous pieces of a form on a graded algebra, by weight."""
+    parts = {}
+    for idx, c in omega.coeffs.items():
+        parts.setdefault(sum(a.weights[i - 1] for i in idx), {})[idx] = c
+    return {w: Form(omega.degree, cs) for w, cs in sorted(parts.items())}
+
+
 def test_homogeneous_decomposition_single():
     a = catalog.build("m0", n=8)
     omega = catalog.form_m0_symplectic(4, beta=2)
@@ -291,7 +308,7 @@ def test_homogeneous_decomposition_single():
 def test_homogeneous_decomposition_family_18():
     k = 5
     a = catalog.build("m0", n=2 * k)
-    omega = catalog.form_m0_general(k, gamma=1, lower={2: Fraction(1), 3: Fraction(-1)})
+    omega = M0_10_GENERAL
     parts = homogeneous_decomposition(a, omega)
     assert sorted(parts) == [5, 7, 2 * k + 1]
     # the top piece is symplectic and its power is the whole power
@@ -302,7 +319,7 @@ def test_homogeneous_decomposition_family_18():
 
 def test_top_power_equals_top_piece_power_on_v12():
     a = catalog.build("V", n=12)
-    omega = catalog.form_v_general(6, gamma=1, gamma5=1, gamma7=1)
+    omega = V12_GENERAL
     assert is_symplectic_form(a, omega)
     parts = homogeneous_decomposition(a, omega)
     assert wedge_power(a, omega, 6) == wedge_power(a, parts[13], 6)

@@ -25,12 +25,6 @@ class GuardViolated(ValueError):
     pass
 
 
-def _as_param(x):
-    if isinstance(x, RatFunc):
-        return x
-    return rat(x)
-
-
 def _chain(n: int, upto: int | None = None) -> dict:
     upto = n - 1 if upto is None else upto
     return {(1, i): {i + 1: 1} for i in range(2, upto + 1)}
@@ -152,7 +146,7 @@ def build_m03(n: int, variant: str = "table") -> LieAlgebra:
 
 
 def _g7_table(alpha) -> dict:
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     return {
         **_chain(7),
         (2, 3): {5: a + 2},
@@ -167,7 +161,7 @@ def build_g7(alpha) -> LieAlgebra:
 
 
 def build_g8(alpha) -> LieAlgebra:
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     table = _g7_table(a)
     table[(1, 7)] = {8: 1}
     table[(2, 6)] = {8: a}
@@ -188,7 +182,7 @@ def _guard_not(alpha, family: str, name: str | None = None):
 
 def build_g9(alpha) -> LieAlgebra:
     _guard_not(alpha, "g9")
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     table = build_g8(a).brackets.copy()
     den = 2 * a + 5
     table[(1, 8)] = {9: 1}
@@ -200,7 +194,7 @@ def build_g9(alpha) -> LieAlgebra:
 
 def build_g10(alpha) -> LieAlgebra:
     _guard_not(alpha, "g10")
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     table = build_g9(a).brackets.copy()
     den = 2 * a + 5
     table[(1, 9)] = {10: 1}
@@ -212,7 +206,7 @@ def build_g10(alpha) -> LieAlgebra:
 
 def build_g11(alpha) -> LieAlgebra:
     _guard_not(alpha, "g11")
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     table = build_g10(a).brackets.copy()
     d1 = 2 * (a * a + 4 * a + 3)
     d2 = d1 * (2 * a + 5)
@@ -335,7 +329,7 @@ def form_v_symplectic(k: int) -> Form:
 
 def form_m0_symplectic(k: int, beta=1) -> Form:
     """e^1 ^ e^2k + beta * sum_{i=2..k} (-1)^i e^i ^ e^{2k-i+1}, beta != 0."""
-    b = _as_param(beta)
+    b = as_scalar(beta)
     if not b:
         raise GuardViolated("beta must be nonzero")
     coeffs = {(1, 2 * k): as_scalar(1)}
@@ -353,7 +347,7 @@ def form_g8_symplectic(alpha) -> Form:
     {-2, -1, 1/2}; undefined at -5/2.
     """
     _guard_not(alpha, "g9", "omega_9")
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     den = 2 * a + 5
     return Form(2, {
         (1, 8): as_scalar(1),
@@ -366,7 +360,7 @@ def form_g8_symplectic(alpha) -> Form:
 def form_g10_symplectic(alpha) -> Form:
     """omega_11(alpha) on g_{10,alpha}; undefined at alpha in {-5/2, -1, -3}."""
     _guard_not(alpha, "g11", "omega_11")
-    a = _as_param(alpha)
+    a = as_scalar(alpha)
     d1 = 2 * (a * a + 4 * a + 3)
     d2 = d1 * (2 * a + 5)
     return Form(2, {

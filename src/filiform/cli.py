@@ -21,7 +21,7 @@ import json
 import os
 import sys
 from . import catalog
-from .cochain import cohomology, d_squared_zero
+from .cochain import cohomology
 from .extensions import enumerate_graded_filiform
 from .lie import (LieAlgebra, adapted_basis, central_series, grading_violations,
                   is_filiform, jacobi_check)
@@ -45,8 +45,8 @@ def _bounded_dim(n: int) -> int:
 
 def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
     """Parse an algebra document; unless check is False, reject one whose
-    d^2 != 0 (the Jacobi identity fails) or whose weights break the grading,
-    since no verdict on it holds."""
+    brackets break the Jacobi identity (d^2 != 0) or whose weights break the
+    grading, since no verdict on it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -61,9 +61,11 @@ def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
         raise InputError(f"cannot read algebra from {path}: zero denominator, {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"cannot read algebra from {path}: nested too deeply") from exc
-    if check and not d_squared_zero(algebra):
-        raise InputError(f"cannot read algebra from {path}: "
-                         "Jacobi identity fails (d^2 != 0)")
+    bad = jacobi_check(algebra) if check else []
+    if bad:
+        i, j, k, _ = bad[0]
+        raise InputError(f"cannot read algebra from {path}: Jacobi identity fails "
+                         f"(d^2 != 0) at (i, j, k) = ({i}, {j}, {k})")
     ungraded = _grading_violations(algebra) if check else []
     if ungraded:
         i, j, k = ungraded[0]
@@ -100,7 +102,7 @@ def cmd_check(args) -> int:
     a, digest = _load_algebra(args.algebra, check=False)
     bad = jacobi_check(a)
     ungraded = _grading_violations(a)
-    series = central_series(a, jacobi=not bad)
+    series = central_series(a)
     graded_1n = (a.weights is not None and not ungraded
                  and sorted(a.weights) == list(range(1, a.dim + 1)))
     report = {

@@ -5,12 +5,14 @@ exact scalars.  The differential follows the convention
 
     d e^k = sum_{i<j} c_ij^k  e^i ^ e^j,
 
-the dual of the bracket extended as a derivation; d^2 = 0 is equivalent to
-the Jacobi identity.  :func:`d_monomial` is the one Leibniz expansion of d:
-it reads the table of d e^k that the algebra holds (``dual_table``) and
-returns d of a single monomial as a sparse vector; :func:`differential`,
-:func:`d_matrix`, the coboundaries and the spectral pages are its linear
-extensions.
+the dual of the bracket extended as a derivation.  d^2 = 0 is the Jacobi
+identity (the coefficient of d(d e^m) on e^i ^ e^j ^ e^k is the e_m-part of
+the defect of (i, j, k)), decided once per algebra by ``lie.jacobi_check``;
+every complex built here presumes it.  :func:`d_monomial` is the one Leibniz
+expansion of d: it reads the table of d e^k that the algebra holds
+(``dual_table``) and returns d of a single monomial as a sparse vector;
+:func:`differential`, :func:`d_matrix`, the coboundaries and the spectral
+pages are its linear extensions.
 
 On a graded algebra every monomial carries the weight
 w(i_1) + ... + w(i_p) and d preserves it, so cohomology splits into weight
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (Matrix, Vec, kernel_of_map, pfaffian, pivot_columns, rref,
-                     vec_combination)
+                     vec_add, vec_combination, vec_scale)
 from .lie import LieAlgebra
 from .scalars import MPoly, as_scalar, format_rat, rat
 
@@ -117,20 +119,10 @@ class Form:
     def add(self, other: "Form") -> "Form":
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx, 0) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-        return Form(self.degree, out)
+        return Form(self.degree, vec_add(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "Form":
-        c = as_scalar(c)
-        if not c:
-            return Form.zero(self.degree)
-        return Form(self.degree, {idx: c * v for idx, v in self.coeffs.items()})
+        return Form(self.degree, vec_scale(self.coeffs, as_scalar(c)))
 
     def wedge(self, other: "Form") -> "Form":
         out: dict[tuple, object] = {}
@@ -287,12 +279,6 @@ def differential(a: LieAlgebra, phi: Form) -> Form:
     """Chevalley-Eilenberg differential, degree raised by one."""
     images = (d_monomial(a, idx) for idx in phi.coeffs)
     return Form(phi.degree + 1, vec_combination(phi.coeffs.values(), images))
-
-
-def d_squared_zero(a: LieAlgebra) -> bool:
-    """d(d e^k) == 0 for every k; equivalent to the Jacobi identity."""
-    return not any(vec_combination(de.values(), (d_monomial(a, ij) for ij in de))
-                   for de in a.dual_table)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ A Lie algebra of dimension n is stored through its sparse bracket table
 [e_i, e_j] = sum_k c * e_k; antisymmetry is implicit.  An optional weight
 assignment turns it into a graded algebra ([g_a, g_b] inside g_{a+b}).
 
-The module provides the Jacobi test, the descending central series, filiform
+The Jacobi identity (d^2 = 0) is decided once per algebra, off the nonzero
+structure constants (``LieAlgebra.jacobi_defects``, cached); ``jacobi_check``,
+the document loader and the route of ``central_series`` all read that one
+result.  The module also provides the descending central series, filiform
 detection, adapted bases (chain relations [e_1, e_i] = e_{i+1} plus the
 triangular bracket shape, built from their intrinsic filtration L), and the
 two associated graded algebras: gr_C from the central series and gr_L from
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy
-from .scalars import as_scalar, format_rat, rat, scalar_at
+from .linalg import (SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy,
+                     vec_axpy_into)
+from .scalars import as_scalar, format_rat, is_decimal_rational, rat, scalar_at
 
 
 class NotNilpotent(ValueError):
@@ -39,7 +43,7 @@ class AlphaNonzero(ValueError):
 class LieAlgebra:
     """Immutable-by-convention Lie algebra over an exact scalar field."""
 
-    def __init__(self, dim, brackets, weights=None, labels=None):
+    def __init__(self, dim, brackets, weights=None):
         self.dim = int(dim)
         table = {}
         for (i, j), comps in brackets.items():
@@ -55,15 +59,13 @@ class LieAlgebra:
                     raise ValueError(f"component e_{k} outside dimension {dim}")
                 c = as_scalar(c)
                 if c:
-                    clean[k] = clean[k] + c if k in clean else c
-            clean = {k: c for k, c in clean.items() if c}
+                    clean[k] = c
             if clean:
                 merged = vec_add(table.pop((i, j), {}), clean)
                 if merged:
                     table[(i, j)] = merged
         self.brackets = table
         self.weights = tuple(weights) if weights is not None else None
-        self.labels = tuple(labels) if labels is not None else None
 
     # -- basic bracket machinery --------------------------------------------
 
@@ -95,15 +97,7 @@ class LieAlgebra:
                 comps = row.get(j)
                 if comps is None:
                     continue
-                c = a * b
-                if not c:
-                    continue
-                for k, s in comps.items():
-                    t = out.get(k, 0) + c * s
-                    if t:
-                        out[k] = t
-                    else:
-                        out.pop(k, None)
+                vec_axpy_into(out, a * b, comps)
         return out
 
     def ad_chain_length(self, x: Vec) -> int:
@@ -131,13 +125,35 @@ class LieAlgebra:
             out[k - 1][(i, j)] = c
         return out
 
+    @cached_property
+    def jacobi_defects(self) -> tuple:
+        """(i, j, k, [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j])
+        for each i < j < k where that defect is nonzero, in lexicographic order.
+
+        [[e_a, e_b], e_x] = sum_l c_ab^l [e_l, e_x]: each nonzero c_ab^l
+        (a < b) times row l of ``signed_brackets`` lands on the sorted triple
+        of (a, b, x), with the sign of the permutation that sorts it.
+        """
+        table = self.signed_brackets
+        sums: dict = {}
+        for (a, b), comps in self.brackets.items():
+            for l, c in comps.items():
+                for x, image in table.get(l, {}).items():
+                    if x > b:
+                        vec_axpy_into(sums.setdefault((a, b, x), {}), c, image)
+                    elif a < x < b:
+                        vec_axpy_into(sums.setdefault((a, x, b), {}), -c, image)
+                    elif x < a:
+                        vec_axpy_into(sums.setdefault((x, a, b), {}), c, image)
+        return tuple((*key, d) for key, d in sorted(sums.items()) if d)
+
     # -- parameters -----------------------------------------------------------
 
     def at_parameter(self, t: Fraction) -> "LieAlgebra":
         """Evaluate RatFunc structure constants at a rational parameter."""
         table = {(i, j): {k: scalar_at(c, t) for k, c in comps.items()}
                  for (i, j), comps in self.brackets.items()}
-        return LieAlgebra(self.dim, table, weights=self.weights, labels=self.labels)
+        return LieAlgebra(self.dim, table, weights=self.weights)
 
     # -- interchange format ---------------------------------------------------
 
@@ -155,7 +171,8 @@ class LieAlgebra:
         """Parse the interchange JSON document.  Untrusted input is read
         strictly: the dimension and every index are JSON integers, every
         coefficient is an integer or a "num/den" string (a bool is neither),
-        and the table is Jacobi-checked."""
+        no entry brackets e_i with itself, repeats a pair (in either order)
+        or lists a component twice, and the table is Jacobi-checked."""
         if not isinstance(doc, dict):
             raise ValueError("the document is not a JSON object")
         dim = _document_int(doc["dim"], "dim")
@@ -163,8 +180,18 @@ class LieAlgebra:
             raise ValueError(f"dimension {dim} is not positive")
         table = {}
         for i, j, comps in doc["brackets"]:
-            table[(_document_int(i, "bracket index"), _document_int(j, "bracket index"))] = {
-                _document_int(k, "component index"): _document_rat(c) for k, c in comps}
+            i, j = _document_int(i, "bracket index"), _document_int(j, "bracket index")
+            if i == j:
+                raise ValueError(f"bracket entry [{i}, {j}] brackets e_{i} with itself")
+            if (i, j) in table or (j, i) in table:
+                raise ValueError(f"bracket entry [{i}, {j}] repeats the pair "
+                                 f"{min(i, j), max(i, j)}")
+            vec = table[(i, j)] = {}
+            for k, c in comps:
+                k = _document_int(k, "component index")
+                if k in vec:
+                    raise ValueError(f"bracket entry [{i}, {j}] lists component {k} twice")
+                vec[k] = _document_rat(c)
         weights = doc.get("weights")
         if weights is not None and len(weights) != dim:
             raise ValueError(f"{len(weights)} weights for dimension {dim}")
@@ -192,9 +219,8 @@ def _document_int(x, what: str) -> int:
 
 
 def _document_rat(x) -> Fraction:
-    # decimal digits only: Fraction also reads "1e100000000", a 10^8-digit integer
-    if type(x) is int or (isinstance(x, str) and all(
-            part.isascii() and part.isdigit() for part in x.removeprefix("-").split("/", 1))):
+    # a bool is an int to isinstance
+    if type(x) is int or (isinstance(x, str) and is_decimal_rational(x)):
         return rat(x)
     raise ValueError(f"coefficient must be an integer or a \"num/den\" string, not {x!r}")
 
@@ -208,15 +234,9 @@ def abelian(n: int) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 def jacobi_check(a: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
-    """All triples (i<j<k) where the Jacobi identity fails, with the defect."""
-    out = []
-    for i, j, k in itertools.combinations(range(1, a.dim + 1), 3):
-        d = a.bracket_vec(a.bracket(i, j), {k: as_scalar(1)})
-        d = vec_add(d, a.bracket_vec(a.bracket(j, k), {i: as_scalar(1)}))
-        d = vec_add(d, a.bracket_vec(a.bracket(k, i), {j: as_scalar(1)}))
-        if d:
-            out.append((i, j, k, d))
-    return out
+    """All triples (i<j<k) where the Jacobi identity fails, with the defect
+    (``LieAlgebra.jacobi_defects``, computed once per algebra)."""
+    return list(a.jacobi_defects)
 
 
 def grading_violations(a: LieAlgebra) -> list[tuple[int, int, int]]:
@@ -232,7 +252,7 @@ def grading_violations(a: LieAlgebra) -> list[tuple[int, int, int]]:
 # central series, filiform detection
 # ---------------------------------------------------------------------------
 
-def central_series(a: LieAlgebra, jacobi: bool = True) -> list[Subspace]:
+def central_series(a: LieAlgebra) -> list[Subspace]:
     """Descending central series C^1 = g, C^k = [g, C^{k-1}], until stationary.
 
     The last entry is the first stationary term (zero iff the input is
@@ -247,8 +267,8 @@ def central_series(a: LieAlgebra, jacobi: bool = True) -> list[Subspace]:
     ad(x) C^k inside V form a subalgebra (V lies in C^k, and ad is a
     homomorphism) that contains S.  Otherwise, as on sl2 where C^2 = g and
     S is empty, every basis vector is a generator.  Both arguments need the
-    Jacobi identity; ``jacobi=False`` brackets every basis vector with
-    every C^k, for tables that may violate it.
+    Jacobi identity, so a table with ``jacobi_defects`` brackets every basis
+    vector with every C^k.
     """
     n = a.dim
     units = [{i: as_scalar(1)} for i in range(1, n + 1)]
@@ -259,7 +279,7 @@ def central_series(a: LieAlgebra, jacobi: bool = True) -> list[Subspace]:
         return series
     pivots = set(c2.pivots)
     gens = [units[i - 1] for i in range(1, n + 1) if i not in pivots]
-    images = _generated_images(a, gens, c2.dim) if jacobi else None
+    images = None if a.jacobi_defects else _generated_images(a, gens, c2.dim)
     if images is None:
         gens = units
     current = c2

@@ -37,14 +37,23 @@ from operator import index
 from typing import Iterable
 
 
+def is_decimal_rational(s: str) -> bool:
+    """Whether s reads "[-]num[/den]" in decimal digits.  Fraction also
+    reads exponents, and "1e100000000" is a 10^8-digit integer."""
+    return all(part.isascii() and part.isdigit() for part in s.removeprefix("-").split("/", 1))
+
+
 def rat(x) -> Fraction:
-    """Coerce ints, 'num/den' strings and Fractions to Fraction."""
+    """Coerce ints, Fractions and ``is_decimal_rational`` strings to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if is_decimal_rational(x):
+            return Fraction(x)
+        raise ValueError(f"Invalid literal for a rational, want [-]num[/den] "
+                         f"in decimal digits: {x!r}")
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 

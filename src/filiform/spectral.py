@@ -369,7 +369,6 @@ def _page_dimensions(comp: _PageComputer) -> list[dict]:
 class SurvivalVerdict:
     survives: bool
     lift: Form | None = None  # closed symplectic form, adapted coordinates
-    surviving_dim: int = 0
     obstruction_page: int | None = None
     obstruction_source: Form | None = None
     obstruction_image: Form | None = None
@@ -433,23 +432,22 @@ def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict |
     graded = bool(classes) and nondegenerate_point(n, classes) is not None
     if if_graded and not graded:
         return None
-    closed = comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge} means dx = 0
-    lifts = [v for v in closed if leading(v)]
-    if graded and lifts:  # the lifts' leading parts lie in the E_1 corner
-        point = nondegenerate_point(n, [leading(v) for v in lifts])
+    if graded:  # the lifts' leading parts lie in the E_1 corner
+        lifts = [v for v in comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge}: dx = 0
+                 if leading(v)]
+        point = nondegenerate_point(n, [leading(v) for v in lifts]) if lifts else None
         if point is not None:
             lift = Form(2, vec_combination(point, lifts))
             if differential(b, lift) or not pfaffian(n, lift.coeffs):
                 raise AssertionError("survival lift failed to verify")
-            return SurvivalVerdict(True, lift, surviving_dim=len(lifts),
-                                   graded_symplectic=True)
+            return SurvivalVerdict(True, lift, graded_symplectic=True)
 
     # obstructed: the first nonzero differential out of the corner; corner
     # monomials pair only as columns of d on 2-forms (1-forms weigh <= 2k)
     gaps = comp.pairing(2)
     r = min((gaps[idx] for idx in corner if gaps.get(idx, 0) >= 1), default=None)
     if r is None:
-        return SurvivalVerdict(False, surviving_dim=len(lifts), graded_symplectic=graded)
+        return SurvivalVerdict(False, graded_symplectic=graded)
     reps, _ = comp.block(r, top, 2)
     target, denom = comp.block(r, top - r, 3)
     mat = comp.d_r_matrix(reps, target, denom)
@@ -459,8 +457,7 @@ def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict |
     image = vec_combination(
         [mat.entries.get((rr, col), 0) for rr in range(target.dim)], target.rows)
     return SurvivalVerdict(
-        False, surviving_dim=len(lifts),
-        obstruction_page=r,
+        False, obstruction_page=r,
         obstruction_source=Form(2, reps.rows[col]),
         obstruction_image=Form(3, image),
         graded_symplectic=graded)

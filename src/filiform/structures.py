@@ -256,28 +256,17 @@ def symplectic_catalog_check() -> dict:
     two places where circulating formulas disagree with the recomputed
     cohomology are flagged explicitly.
     """
-    report: dict[str, str] = {}
-
-    for k in range(2, 9):
-        a = catalog.build("m0", n=2 * k)
-        omega = catalog.form_m0_symplectic(k, beta=1)
-        report[f"m0({2 * k}), beta=1"] = (
-            "symplectic" if is_symplectic_form(a, omega) else "FAIL")
-    for k in (3, 6, 7, 8):
-        a = catalog.build("V", n=2 * k)
-        omega = catalog.form_v_symplectic(k)
-        report[f"V({2 * k})"] = (
-            "symplectic" if is_symplectic_form(a, omega) else "FAIL")
-    for alpha in (Fraction(3), Fraction(0), Fraction(8)):
-        a = catalog.build("g8", alpha=alpha)
-        omega = catalog.form_g8_symplectic(alpha)
-        report[f"g8, alpha={alpha}"] = (
-            "symplectic" if is_symplectic_form(a, omega) else "FAIL")
-    for alpha in (Fraction(0), Fraction(8)):
-        a = catalog.build("g10", alpha=alpha)
-        omega = catalog.form_g10_symplectic(alpha)
-        report[f"g10, alpha={alpha}"] = (
-            "symplectic" if is_symplectic_form(a, omega) else "FAIL")
+    printed = (
+        [(f"m0({2 * k}), beta=1", catalog.build("m0", n=2 * k),
+          catalog.form_m0_symplectic(k, beta=1)) for k in range(2, 9)]
+        + [(f"V({2 * k})", catalog.build("V", n=2 * k), catalog.form_v_symplectic(k))
+           for k in (3, 6, 7, 8)]
+        + [(f"g8, alpha={alpha}", catalog.build("g8", alpha=alpha),
+            catalog.form_g8_symplectic(alpha)) for alpha in map(Fraction, (3, 0, 8))]
+        + [(f"g10, alpha={alpha}", catalog.build("g10", alpha=alpha),
+            catalog.form_g10_symplectic(alpha)) for alpha in map(Fraction, (0, 8))])
+    report = {label: "symplectic" if is_symplectic_form(a, omega) else "FAIL"
+              for label, a, omega in printed}
 
     for name in ("g8", "g10"):
         for alpha in sorted(catalog.symplectic_exclusions(name)):

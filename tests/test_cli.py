@@ -19,7 +19,7 @@ from filiform import catalog, cli
 from filiform.cli import main
 from filiform.cochain import Form, differential
 from filiform.linalg import pfaffian
-from test_lie import random_base_change
+from test_lie import jacobi_computations, random_base_change
 
 
 def run(capsys, *argv):
@@ -81,6 +81,16 @@ def test_check_series_of_a_non_jacobi_table_brackets_every_basis_vector(tmp_path
     assert code == 1 and not out["result"]["jacobi_ok"]
     assert out["result"]["central_series_dims"] == [5, 3, 2, 2]
     assert out["result"]["nilpotent"] is False
+
+
+@pytest.mark.parametrize("argv", [["check"], ["cohomology", "--degree", "2"],
+                                  ["symplectic"], ["spectral", "--report"]])
+def test_each_command_decides_the_jacobi_identity_once(tmp_path, capsys, monkeypatch, argv):
+    seen = jacobi_computations(monkeypatch)
+    path = write_algebra(tmp_path, "deformation_23", alphas=(1, 2, 3))
+    assert main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1
 
 
 def test_check_m1_reports_filiform_but_not_graded(tmp_path, capsys):
@@ -197,6 +207,21 @@ def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err
+
+
+def test_catalog_reads_parameters_by_the_document_rule(capsys):
+    # Fraction alone reads the exponent and builds a 3 * 10^6-digit integer
+    start = time.perf_counter()
+    code = main(["catalog", "--name", "g8", "--alpha", "1e3000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and elapsed < 1
+    assert captured.err.startswith("error: ") and "decimal digits: '1e3000000'" in captured.err
+    assert main(["catalog", "--name", "deformation_23", "--alphas", "1,2/3,-1/2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    from fractions import Fraction
+    alphas = (1, Fraction(2, 3), Fraction(-1, 2))
+    assert doc == catalog.build("deformation_23", alphas=alphas).to_dict()
 
 
 def test_catalog_accepts_the_dimension_bound(capsys):
@@ -335,6 +360,22 @@ def _zero_dim(doc):
     doc.update(dim=0, brackets=[], weights=[])
 
 
+def _repeated_pair(doc):
+    doc["brackets"].append([1, 2, [[3, "2"]]])  # the last entry would win
+
+
+def _reversed_pair(doc):
+    doc["brackets"].append([2, 1, [[3, "1"]]])  # the two would cancel
+
+
+def _diagonal_entry(doc):
+    doc["brackets"].append([2, 2, [[4, "1"]]])  # would be dropped
+
+
+def _repeated_component(doc):
+    doc["brackets"][0][2].append([3, "2"])  # the last component would win
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_zero_denominator, "zero denominator"),
     (_short_weights, "5 weights for dimension 6"),
@@ -349,6 +390,10 @@ def _zero_dim(doc):
     (_exponent_coefficient, 'coefficient must be an integer or a "num/den" string, not \'1e100000\''),
     (_string_component, "component index must be an integer, not '3'"),
     (_zero_dim, "dimension 0 is not positive"),
+    (_repeated_pair, "bracket entry [1, 2] repeats the pair (1, 2)"),
+    (_reversed_pair, "bracket entry [2, 1] repeats the pair (1, 2)"),
+    (_diagonal_entry, "bracket entry [2, 2] brackets e_2 with itself"),
+    (_repeated_component, "bracket entry [1, 2] lists component 3 twice"),
 ])
 def test_malformed_document_is_input_error(tmp_path, capsys, corrupt, reason):
     from filiform import catalog

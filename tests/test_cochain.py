@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from filiform import catalog
 from filiform.cochain import (Form, WeightsMissing, _merge_sign, betti_numbers,
-                              coboundary_space, cohomology, d_squared_zero,
-                              differential, lambda_basis, monomials_by_weight)
+                              coboundary_space, cohomology, d_monomial, differential,
+                              lambda_basis, monomials_by_weight)
 from filiform.lie import LieAlgebra, abelian, jacobi_check
-from filiform.linalg import Subspace
+from filiform.linalg import Subspace, vec_axpy_into, vec_combination
 
 
 F = Form.from_pairs
@@ -167,7 +167,7 @@ def reference_block(a, p, src, tgt, below):
     ("deformation_23", {"alphas": (Fraction(-1, 2), 3, Fraction(2, 3))})])
 def test_cohomology_blocks_match_reference(name, params):
     a = catalog.build(name, **params)
-    assert d_squared_zero(a)
+    assert jacobi_check(a) == []
     for p in range(a.dim + 1):
         degrees = (p, p + 1, p - 1)
         whole = [lambda_basis(a.dim, q) for q in degrees]
@@ -213,25 +213,67 @@ def test_monomials_by_weight_matches_filter():
                 assert got == expected and list(got) == seen, (n, p, list(weights))
 
 
-def test_d_squared_zero_iff_jacobi():
-    good = catalog.build("m03", n=9)
-    assert d_squared_zero(good) and not jacobi_check(good)
+def jacobi_by_triples(a):
+    """The per-triple oracle: for each i < j < k in turn, the defect
+    [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] bracketed out."""
+    out = []
+    for i, j, k in itertools.combinations(range(1, a.dim + 1), 3):
+        defect = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            vec_axpy_into(defect, 1, a.bracket_vec(a.bracket(x, y), {z: Fraction(1)}))
+        if defect:
+            out.append((i, j, k, defect))
+    return out
+
+
+def dd_coefficients(a):
+    """{(i, j, k): {m: the coefficient of d(d e^m) on e^i ^ e^j ^ e^k}}."""
+    out = {}
+    for m in range(1, a.dim + 1):
+        de = d_monomial(a, (m,))
+        for idx, c in vec_combination(de.values(), (d_monomial(a, ij) for ij in de)).items():
+            out.setdefault(idx, {})[m] = c
+    return out
+
+
+def assert_jacobi_matches_references(a):
+    got = jacobi_check(a)
+    assert got == jacobi_by_triples(a)
+    assert {(i, j, k): d for i, j, k, d in got} == dd_coefficients(a)
+
+
+# params None: the symbolic family over Q(alpha); m03 section5 fails Jacobi
+@pytest.mark.parametrize("name, params", ORACLE_ALGEBRAS + [("g10", None)])
+def test_jacobi_check_matches_triples_and_d_squared(name, params):
+    a = catalog.family_symbolic(name) if params is None else catalog.build(name, **params)
+    assert_jacobi_matches_references(a)
+    assert (jacobi_check(a) == []) == (params is None or "variant" not in params)
+
+
+def test_jacobi_check_matches_references_on_a_broken_table():
     bad = LieAlgebra(5, {**catalog.build("m0", n=5).brackets, (2, 3): {4: 1}})
-    assert not d_squared_zero(bad) and jacobi_check(bad)
+    assert jacobi_check(bad)
+    assert_jacobi_matches_references(bad)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_d_squared_zero_iff_jacobi_random(data):
-    n = data.draw(st.integers(3, 5))
+@st.composite
+def bracket_tables(draw):
+    """Tables with components anywhere in 1..n, so a term [e_l, e_x] may
+    land on a triple with x below, between or above the pair (a, b)."""
+    n = draw(st.integers(3, 6))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    entries = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, n),
+                                      st.integers(-2, 2)), max_size=12))
     table = {}
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        for k in range(j + 1, n + 1):
-            v = data.draw(st.integers(-2, 2))
-            if v and data.draw(st.integers(0, 3)) == 0:
-                table.setdefault((i, j), {})[k] = Fraction(v)
-    a = LieAlgebra(n, table)
-    assert d_squared_zero(a) == (jacobi_check(a) == [])
+    for pair, k, v in entries:
+        table.setdefault(pair, {})[k] = Fraction(v)
+    return LieAlgebra(n, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bracket_tables())
+def test_jacobi_check_matches_references_random(a):
+    assert_jacobi_matches_references(a)
 
 
 def test_weight_preservation_of_d():

@@ -134,11 +134,47 @@ SERIES_CASES = [
 
 @pytest.mark.parametrize("label, a", SERIES_CASES, ids=[c[0] for c in SERIES_CASES])
 def test_central_series_matches_bruteforce(label, a):
-    # the generator shortcut needs the Jacobi identity (the section5 variant
-    # of m03 violates it); jacobi=False is the all-basis-vector route
-    jacobi = not jacobi_check(a)
-    assert central_series(a, jacobi=jacobi) == bruteforce_series(a), label
-    assert central_series(a, jacobi=False) == bruteforce_series(a), label
+    # the generator shortcut needs the Jacobi identity, and the series takes
+    # it only when jacobi_check finds no defect (the section5 variant of m03
+    # has some, so it brackets every basis vector)
+    assert central_series(a) == bruteforce_series(a), label
+
+
+def test_central_series_of_a_non_jacobi_table_brackets_every_basis_vector():
+    # e3 and e5 are off the pivots of C^2, but without the Jacobi identity
+    # they need not generate: bracketing with them alone gives
+    # [5, 3, 2, 1, 0], a filiform series
+    a = LieAlgebra(5, {(1, 5): {4: 2}, (2, 4): {4: 1}, (3, 4): {2: 2}, (3, 5): {1: 2}})
+    assert jacobi_check(a)
+    assert series_dims(a) == [5, 3, 2, 2]
+    assert central_series(a) == bruteforce_series(a)
+    assert not is_filiform(a)
+
+
+def jacobi_computations(monkeypatch) -> list:
+    """The algebras whose ``jacobi_defects`` are computed from now on, one
+    entry per computation."""
+    prop = LieAlgebra.__dict__["jacobi_defects"]
+    seen = []
+
+    def counted(algebra, compute=prop.func):
+        seen.append(algebra)
+        return compute(algebra)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return seen
+
+
+def test_jacobi_defects_are_computed_once_per_algebra(monkeypatch):
+    seen = jacobi_computations(monkeypatch)
+    a = LieAlgebra.from_dict(catalog.build("m02", n=10).to_dict())
+    assert seen == [a]
+    assert jacobi_check(a) == [] and jacobi_check(a) == []
+    assert series_dims(a) == [10, *range(8, -1, -1)]
+    assert is_filiform(a)
+    adapted_basis(a)
+    gr_c(a)
+    assert seen == [a]
 
 
 def test_central_series_matches_bruteforce_after_base_change():

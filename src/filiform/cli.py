@@ -23,8 +23,8 @@ import sys
 from . import catalog
 from .cochain import cohomology
 from .extensions import enumerate_graded_filiform
-from .lie import (LieAlgebra, adapted_basis, central_series, grading_violations,
-                  is_filiform, jacobi_check)
+from .lie import (LieAlgebra, central_series, grading_violations, is_filiform,
+                  jacobi_check)
 from .scalars import format_rat, rat
 from .spectral import degree_totals, pages_and_survival
 from .structures import contact_exists, symplectic_exists
@@ -113,7 +113,7 @@ def cmd_check(args) -> int:
             "jacobi_violations": [[i, j, k, {str(m): format_rat(v) for m, v in d.items()}]
                                   for i, j, k, d in bad[:10]],
             "nilpotent": series[-1].dim == 0,
-            "filiform": not bad and is_filiform(a),
+            "filiform": is_filiform(a),
             "central_series_dims": [s.dim for s in series],
             "n_graded_weights_1_to_n": graded_1n,
             "grading_violations": [list(v) for v in ungraded[:10]],
@@ -209,7 +209,7 @@ def cmd_contact(args) -> int:
 def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
-        pages, verdict = pages_and_survival(a, adapted_basis(a))
+        pages, verdict = pages_and_survival(a)
     except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     tables = []

@@ -5,14 +5,16 @@ A Lie algebra of dimension n is stored through its sparse bracket table
 [e_i, e_j] = sum_k c * e_k; antisymmetry is implicit.  An optional weight
 assignment turns it into a graded algebra ([g_a, g_b] inside g_{a+b}).
 
-The Jacobi identity (d^2 = 0) is decided once per algebra, off the nonzero
-structure constants (``LieAlgebra.jacobi_defects``, cached); ``jacobi_check``,
-the document loader and the route of ``central_series`` all read that one
-result.  The module also provides the descending central series, filiform
-detection, adapted bases (chain relations [e_1, e_i] = e_{i+1} plus the
-triangular bracket shape, built from their intrinsic filtration L), and the
-two associated graded algebras: gr_C from the central series and gr_L from
-the filtration attached to an adapted basis.
+The Jacobi identity (d^2 = 0, read off the nonzero structure constants), the
+descending central series and the adapted basis (chain relations
+[e_1, e_i] = e_{i+1} plus the triangular bracket shape, built from their
+intrinsic filtration L) are decided once per algebra, as cached properties
+of ``LieAlgebra``; ``jacobi_check``, ``central_series``, ``is_filiform`` and
+``adapted_basis`` read them, and no function takes an adapted basis as an
+argument.  This module decides the one case where L is undefined, a nonzero
+antidiagonal alpha: ``AdaptedBasis.filtered_algebra`` raises AlphaNonzero
+there, and gr_L (next to gr_C of the central series) and every entry of
+``spectral`` read it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class NotFiliform(ValueError):
 
 class AlphaNonzero(ValueError):
     """Even-dimensional adapted basis with nonzero antidiagonal: the
-    filtration L (hence gr_L) is undefined."""
+    filtration L (hence gr_L and the weight spectral sequence) is undefined."""
 
 
 class LieAlgebra:
@@ -147,6 +149,96 @@ class LieAlgebra:
                         vec_axpy_into(sums.setdefault((x, a, b), {}), c, image)
         return tuple((*key, d) for key, d in sorted(sums.items()) if d)
 
+    @cached_property
+    def central_series(self) -> tuple:
+        """Descending central series C^1 = g, C^k = [g, C^{k-1}], until stationary.
+
+        The last entry is the first stationary term (zero iff the input is
+        nilpotent).
+
+        C^2 is the span of the bracket table.  The unit vectors S off its pivot
+        columns span a complement of C^2, and the subalgebra they generate is
+        span(S) + W, where W is the smallest ad(S)-stable subspace containing
+        [S, S] (right-normed brackets span it); W lies in C^2, so S generates g
+        iff W = C^2.  That always holds for nilpotent g.  Then C^{k+1} is the
+        span V of [s, c] for s in S and c in a basis of C^k: the x with
+        ad(x) C^k inside V form a subalgebra (V lies in C^k, and ad is a
+        homomorphism) that contains S.  Otherwise, as on sl2 where C^2 = g and
+        S is empty, every basis vector is a generator.  Both arguments need the
+        Jacobi identity, so a table with ``jacobi_defects`` brackets every basis
+        vector with every C^k.
+        """
+        n = self.dim
+        units = [{i: as_scalar(1)} for i in range(1, n + 1)]
+        c2 = Subspace.span(list(self.brackets.values()))
+        series = [Subspace.span(units), c2]
+        if c2.dim in (0, n):
+            return tuple(series)
+        pivots = set(c2.pivots)
+        gens = [units[i - 1] for i in range(1, n + 1) if i not in pivots]
+        images = None if self.jacobi_defects else _generated_images(self, gens, c2.dim)
+        if images is None:
+            gens = units
+        while series[-1].dim not in (0, series[-2].dim):
+            if images is None:
+                images = [self.bracket_vec(s, v) for s in gens for v in series[-1].basis()]
+            series.append(Subspace.span([v for v in images if v]))
+            images = None
+        return tuple(series)
+
+    @cached_property
+    def adapted_basis(self) -> "AdaptedBasis":
+        """Base change to an adapted basis: [e_1, e_i] = e_{i+1} for i = 2..n-1
+        and a bracket table lower-triangular in the index sum, with the
+        alternating antidiagonal in even dimension.
+
+        The basis is built from its filtration, which is intrinsic: L^1 = g,
+        L^2 = {x : [x, C^2] inside C^4} and L^k = C^{k-1} for k >= 3.  As
+        C^2 / C^3 is a line, L^2 is the kernel of x -> [x, b] mod C^4 for one
+        b in C^2 outside C^3 (all of g when n = 3).
+
+        e_1 is the first candidate of ``_e1_candidates`` whose adjoint map has
+        a chain of length n-2.  For n >= 4 at most two lines of g / C^2 lack
+        one: L^2 (its adjoint map sends C^2 into C^4) and the centralizer of
+        C^{n-2} (it kills e_{n-1}).  Two basis vectors u, v that are not
+        proportional mod C^2 give the four lines of u, v, u+v and u-v, so the
+        pair sums reach a full chain.  e_2 is the first basis vector of L^2
+        outside C^2 with [e_1, e_2] outside C^3, and e_{i+1} = [e_1, e_i].
+
+        Since gr_C is m0 or m1 (Vergne), that chain has the adapted shape, and
+        alpha e_n = [e_2, e_{n-1}].  On m0 type L^2 equals the centralizer of
+        C^{n-2}, so alpha = 0; on m1 type no adapted basis reaches alpha = 0.
+        The shape and the alternating antidiagonal are checked, and a failure
+        raises AssertionError.  The adapted table is always a new algebra, so
+        the cached basis holds no reference back to this one.
+        """
+        n = self.dim
+        if not is_filiform(self):
+            raise NotFiliform(f"not a filiform Lie algebra of dimension {n}")
+        if n <= 2:
+            vecs = [{i: as_scalar(1)} for i in range(1, n + 1)]
+            return AdaptedBasis(tuple(vecs), change_basis(self, vecs), as_scalar(0))
+        series = self.central_series
+        c2, c3, c4 = series[1], series[2], series[min(3, n - 1)]  # C^4 = C^3 = 0 at n = 3
+        b = next(v for v in c2.basis() if not c3.contains(v))
+        units = list(range(1, n + 1))
+        l2 = Subspace.span(kernel_of_map(
+            units, [c4.reduce(self.bracket_vec({i: as_scalar(1)}, b)) for i in units]))
+        e1 = next(e for e in _e1_candidates(self, c2) if self.ad_chain_length(e) >= n - 2)
+        e2 = next(v for v in l2.basis()
+                  if not c2.contains(v) and not c3.contains(self.bracket_vec(e1, v)))
+        vecs = [e1, e2]
+        for _ in range(n - 2):
+            vecs.append(self.bracket_vec(e1, vecs[-1]))
+        adapted = change_basis(self, vecs)
+        defects = _adapted_defects(adapted)
+        if defects:
+            raise AssertionError(f"adapted basis breaks the adapted shape at {defects[0]}")
+        alpha = _alpha_of(adapted)
+        if alpha is None or (n % 2 == 1 and alpha):
+            raise AssertionError("adapted basis has no alternating antidiagonal")
+        return AdaptedBasis(tuple(vecs), adapted, alpha)
+
     # -- parameters -----------------------------------------------------------
 
     def at_parameter(self, t: Fraction) -> "LieAlgebra":
@@ -253,44 +345,9 @@ def grading_violations(a: LieAlgebra) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 def central_series(a: LieAlgebra) -> list[Subspace]:
-    """Descending central series C^1 = g, C^k = [g, C^{k-1}], until stationary.
-
-    The last entry is the first stationary term (zero iff the input is
-    nilpotent).
-
-    C^2 is the span of the bracket table.  The unit vectors S off its pivot
-    columns span a complement of C^2, and the subalgebra they generate is
-    span(S) + W, where W is the smallest ad(S)-stable subspace containing
-    [S, S] (right-normed brackets span it); W lies in C^2, so S generates g
-    iff W = C^2.  That always holds for nilpotent g.  Then C^{k+1} is the
-    span V of [s, c] for s in S and c in a basis of C^k: the x with
-    ad(x) C^k inside V form a subalgebra (V lies in C^k, and ad is a
-    homomorphism) that contains S.  Otherwise, as on sl2 where C^2 = g and
-    S is empty, every basis vector is a generator.  Both arguments need the
-    Jacobi identity, so a table with ``jacobi_defects`` brackets every basis
-    vector with every C^k.
-    """
-    n = a.dim
-    units = [{i: as_scalar(1)} for i in range(1, n + 1)]
-    full = Subspace.span(units)
-    c2 = Subspace.span(list(a.brackets.values()))
-    series = [full, c2]
-    if c2.dim in (0, n):
-        return series
-    pivots = set(c2.pivots)
-    gens = [units[i - 1] for i in range(1, n + 1) if i not in pivots]
-    images = None if a.jacobi_defects else _generated_images(a, gens, c2.dim)
-    if images is None:
-        gens = units
-    current = c2
-    while True:
-        if images is None:
-            images = [a.bracket_vec(s, v) for s in gens for v in current.basis()]
-        nxt = Subspace.span([v for v in images if v])
-        series.append(nxt)
-        if nxt.dim in (0, current.dim):
-            return series
-        current, images = nxt, None
+    """C^1 = g, C^k = [g, C^{k-1}], up to the first stationary term
+    (``LieAlgebra.central_series``, computed once per algebra)."""
+    return list(a.central_series)
 
 
 def _generated_images(a: LieAlgebra, gens: list[Vec], dim_c2: int) -> list[Vec] | None:
@@ -324,12 +381,12 @@ def _generated_images(a: LieAlgebra, gens: list[Vec], dim_c2: int) -> list[Vec] 
 
 
 def is_filiform(a: LieAlgebra) -> bool:
-    return _is_filiform_series(central_series(a), a.dim)
-
-
-def _is_filiform_series(series: list[Subspace], dim: int) -> bool:
-    """Whether a central series reaches zero with nil-index dim - 1."""
-    return series[-1].dim == 0 and len(series) - 1 == dim - 1
+    """Whether a is a Lie algebra (no ``jacobi_defects``) whose central
+    series reaches zero with nil-index dim - 1."""
+    if a.jacobi_defects:
+        return False
+    series = a.central_series
+    return series[-1].dim == 0 and len(series) == a.dim
 
 
 def center(a: LieAlgebra) -> Subspace:
@@ -393,6 +450,14 @@ class AdaptedBasis:
     algebra: LieAlgebra
     alpha: object
 
+    def filtered_algebra(self) -> LieAlgebra:
+        """The table in adapted coordinates, where the filtration L and the
+        weight filtration of the cochains live.  Raises AlphaNonzero when
+        alpha != 0; gr_L and every spectral entry read it here."""
+        if self.alpha:
+            raise AlphaNonzero("antidiagonal alpha != 0: filtration L undefined")
+        return self.algebra
+
 
 def _adapted_defects(a: LieAlgebra) -> list[tuple[int, int, int]]:
     """Structure terms violating the adapted shape."""
@@ -441,55 +506,9 @@ def _e1_candidates(a: LieAlgebra, c2: Subspace):
 
 
 def adapted_basis(a: LieAlgebra) -> AdaptedBasis:
-    """Base change to an adapted basis: [e_1, e_i] = e_{i+1} for i = 2..n-1
-    and a bracket table lower-triangular in the index sum, with the
-    alternating antidiagonal in even dimension.
-
-    The basis is built from its filtration, which is intrinsic: L^1 = g,
-    L^2 = {x : [x, C^2] inside C^4} and L^k = C^{k-1} for k >= 3.  As
-    C^2 / C^3 is a line, L^2 is the kernel of x -> [x, b] mod C^4 for one
-    b in C^2 outside C^3 (all of g when n = 3).
-
-    e_1 is the first candidate of ``_e1_candidates`` whose adjoint map has
-    a chain of length n-2.  For n >= 4 at most two lines of g / C^2 lack
-    one: L^2 (its adjoint map sends C^2 into C^4) and the centralizer of
-    C^{n-2} (it kills e_{n-1}).  Two basis vectors u, v that are not
-    proportional mod C^2 give the four lines of u, v, u+v and u-v, so the
-    pair sums reach a full chain.  e_2 is the first basis vector of L^2
-    outside C^2 with [e_1, e_2] outside C^3, and e_{i+1} = [e_1, e_i].
-
-    Since gr_C is m0 or m1 (Vergne), that chain has the adapted shape, and
-    alpha e_n = [e_2, e_{n-1}].  On m0 type L^2 equals the centralizer of
-    C^{n-2}, so alpha = 0; on m1 type no adapted basis reaches alpha = 0.
-    The shape and the alternating antidiagonal are checked, and a failure
-    raises AssertionError.
-    """
-    n = a.dim
-    series = central_series(a)
-    if not _is_filiform_series(series, n):
-        raise NotFiliform(f"nil-index != dim-1 for dim {n}")
-    if n <= 2:
-        vecs = [{i: as_scalar(1)} for i in range(1, n + 1)]
-        return AdaptedBasis(tuple(vecs), a, as_scalar(0))
-    c2, c3, c4 = series[1], series[2], series[min(3, n - 1)]  # C^4 = C^3 = 0 at n = 3
-    b = next(v for v in c2.basis() if not c3.contains(v))
-    units = list(range(1, n + 1))
-    l2 = Subspace.span(kernel_of_map(
-        units, [c4.reduce(a.bracket_vec({i: as_scalar(1)}, b)) for i in units]))
-    e1 = next(e for e in _e1_candidates(a, c2) if a.ad_chain_length(e) >= n - 2)
-    e2 = next(v for v in l2.basis()
-              if not c2.contains(v) and not c3.contains(a.bracket_vec(e1, v)))
-    vecs = [e1, e2]
-    for _ in range(n - 2):
-        vecs.append(a.bracket_vec(e1, vecs[-1]))
-    adapted = change_basis(a, vecs)
-    defects = _adapted_defects(adapted)
-    if defects:
-        raise AssertionError(f"adapted basis breaks the adapted shape at {defects[0]}")
-    alpha = _alpha_of(adapted)
-    if alpha is None or (n % 2 == 1 and alpha):
-        raise AssertionError("adapted basis has no alternating antidiagonal")
-    return AdaptedBasis(tuple(vecs), adapted, alpha)
+    """The adapted basis of a (``LieAlgebra.adapted_basis``, computed once per
+    algebra); raises NotFiliform exactly when ``is_filiform(a)`` is False."""
+    return a.adapted_basis
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +521,7 @@ def gr_c(a: LieAlgebra) -> LieAlgebra:
     Basis: canonical quotient representatives, level by level; a new basis
     vector coming from level k gets weight k.
     """
-    series = central_series(a)
+    series = a.central_series
     if series[-1].dim != 0:
         raise NotNilpotent("gr_C needs a nilpotent algebra")
     # levels[k - 1] spans the representatives of C^k / C^{k+1}
@@ -535,17 +554,13 @@ def gr_c(a: LieAlgebra) -> LieAlgebra:
     return LieAlgebra(n, table, weights=weights)
 
 
-def gr_l(a: LieAlgebra, adapted: AdaptedBasis | None = None) -> LieAlgebra:
+def gr_l(a: LieAlgebra) -> LieAlgebra:
     """Graded algebra of the filtration L: keep the leading terms c_ij^0.
 
     Only defined when the adapted table has alpha = 0; raises AlphaNonzero for
     even-dimensional input of m1 type.
     """
-    if adapted is None:
-        adapted = adapted_basis(a)
-    if adapted.alpha:
-        raise AlphaNonzero("antidiagonal alpha != 0: filtration L undefined")
-    b = adapted.algebra
+    b = adapted_basis(a).filtered_algebra()
     table = {}
     for (i, j), comps in b.brackets.items():
         lead = comps.get(i + j)

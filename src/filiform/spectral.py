@@ -1,5 +1,9 @@
 """Spectral sequence of the weight filtration attached to an adapted basis.
 
+Every entry takes the algebra alone and reads its cached adapted basis;
+``lie.AdaptedBasis.filtered_algebra`` decides whether the filtration exists
+(it raises ``lie.AlphaNonzero`` on a nonzero antidiagonal alpha).
+
 In adapted coordinates the monomial weight w(e^{i_1}^...^e^{i_p}) = sum i_t
 filters the cochain complex: F_w = span of monomials of weight <= w is
 preserved by d (deformation terms only lower the weight).  The filtration
@@ -65,17 +69,13 @@ import math
 from dataclasses import dataclass
 from .cochain import (Form, d_monomial, differential, monomials_by_weight,
                       nondegenerate_point)
-from .lie import AdaptedBasis, LieAlgebra, adapted_basis
+from .lie import LieAlgebra, adapted_basis
 from .linalg import (Matrix, Subspace, all_rational, clear_integer, integer_row,
                      kernel_of_map, pfaffian, rref, vec_axpy_into,
                      vec_combination)
 # an explicit re-export: the benchmark harness tests check that its tracer
 # patches this binding and restores it
 from .linalg import kernel_basis as kernel_basis
-
-
-class FiltrationUndefined(ValueError):
-    pass
 
 
 _ZERO = Subspace((), ())  # the representatives of a zero block
@@ -271,17 +271,12 @@ class _PageComputer:
         return Matrix(target.dim, reps.dim, entries)
 
 
-def _filtered_algebra(a: LieAlgebra, adapted: AdaptedBasis | None) -> LieAlgebra:
-    """The algebra in adapted coordinates, where the weight filtration lives."""
-    if adapted is None:
-        adapted = adapted_basis(a)
-    if adapted.alpha:
-        raise FiltrationUndefined("alpha != 0: the weight filtration is undefined")
-    return adapted.algebra
+def _filtered_complex(a: LieAlgebra) -> _PageComputer:
+    """The filtered complex of a in its cached adapted basis."""
+    return _PageComputer(adapted_basis(a).filtered_algebra())
 
 
-def build_pages(a: LieAlgebra,
-                adapted: AdaptedBasis | None = None) -> list[SpectralPage]:
+def build_pages(a: LieAlgebra) -> list[SpectralPage]:
     """Pages E_1, E_2, ... of the weight filtration, with differentials.
 
     The pages and their nonzero blocks are read off the persistence pairing
@@ -290,10 +285,9 @@ def build_pages(a: LieAlgebra,
     subquotient, and an AssertionError is raised when its size differs
     from the pairing's count.  Of the other blocks only the boundary space
     of a d_r target is built: the check that no image leaves its target
-    needs it.  Raises FiltrationUndefined when the adapted antidiagonal is
-    nonzero.
+    needs it.  Raises AlphaNonzero when the adapted antidiagonal is nonzero.
     """
-    comp = _PageComputer(_filtered_algebra(a, adapted))
+    comp = _filtered_complex(a)
     pages = []
     for r, dims in enumerate(_page_dimensions(comp), start=1):
         reps_of, denoms = {}, {}
@@ -314,17 +308,16 @@ def build_pages(a: LieAlgebra,
     return pages
 
 
-def page_dimensions(a: LieAlgebra,
-                    adapted: AdaptedBasis | None = None) -> list[dict]:
+def page_dimensions(a: LieAlgebra) -> list[dict]:
     """Block dimensions {(w, degree): dim} of the pages E_1, E_2, ...
 
     Read off the persistence pairing of d, without representatives.  The
     list stops at the first page whose totals are the Betti numbers (the
     unpaired monomials), and after at most 2 dim + 1 pages.  ``build_pages``
     builds the blocks it lists, so it equals [page.block_dims() for page in
-    build_pages(a, adapted)], and a block of another size raises there.
+    build_pages(a)], and a block of another size raises there.
     """
-    return _page_dimensions(_PageComputer(_filtered_algebra(a, adapted)))
+    return _page_dimensions(_filtered_complex(a))
 
 
 def _page_dimensions(comp: _PageComputer) -> list[dict]:
@@ -375,8 +368,7 @@ class SurvivalVerdict:
     graded_symplectic: bool = False  # H^2_{2k+1}(gr_L) has a symplectic class
 
 
-def symplectic_survival(a: LieAlgebra,
-                        adapted: AdaptedBasis | None = None) -> SurvivalVerdict:
+def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
     """Does a homogeneous symplectic class of weight 2k+1 survive to E_infty?
 
     No differential maps into the corner block (w = 2k+1, degree 2), so
@@ -390,21 +382,19 @@ def symplectic_survival(a: LieAlgebra,
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
-    return _survival(_PageComputer(_filtered_algebra(a, adapted)))
+    return _survival(_filtered_complex(a))
 
 
-def pages_and_survival(a: LieAlgebra, adapted: AdaptedBasis | None = None
-                       ) -> tuple[list[dict], SurvivalVerdict | None]:
-    """(``page_dimensions(a, adapted)``, ``symplectic_survival(a, adapted)``
-    on an even dimension, else None) from one ``_PageComputer``, so the
-    survival test reuses the d images and the pairings of the pages."""
-    comp = _PageComputer(_filtered_algebra(a, adapted))
+def pages_and_survival(a: LieAlgebra) -> tuple[list[dict], SurvivalVerdict | None]:
+    """(``page_dimensions(a)``, ``symplectic_survival(a)`` on an even
+    dimension, else None) from one ``_PageComputer``, so the survival test
+    reuses the d images and the pairings of the pages."""
+    comp = _filtered_complex(a)
     return _page_dimensions(comp), None if a.dim % 2 else _survival(comp)
 
 
-def graded_survival(a: LieAlgebra,
-                    adapted: AdaptedBasis | None = None) -> SurvivalVerdict | None:
-    """``symplectic_survival(a, adapted)``, or None when gr_L carries no
+def graded_survival(a: LieAlgebra) -> SurvivalVerdict | None:
+    """``symplectic_survival(a)``, or None when gr_L carries no
     symplectic class in weight 2k+1.
 
     The E_1 corner is read first, and a corner without a symplectic class
@@ -413,7 +403,7 @@ def graded_survival(a: LieAlgebra,
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
-    return _survival(_PageComputer(_filtered_algebra(a, adapted)), if_graded=True)
+    return _survival(_filtered_complex(a), if_graded=True)
 
 
 def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict | None:
@@ -464,16 +454,15 @@ def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict |
 
 
 def canonical_block_representative(a: LieAlgebra, r: int, w: int, p: int,
-                                   form: Form,
-                                   adapted: AdaptedBasis | None = None) -> Form:
+                                   form: Form) -> Form:
     """Canonical representative of a cochain class in the block E_r(w, p).
 
     The input form must lie in Z_r(w, p); it is reduced modulo the page
     denominator, which matches the normalization of the stored block
     representatives (used to compare obstruction witnesses exactly).
-    Raises FiltrationUndefined when the adapted antidiagonal is nonzero.
+    Raises AlphaNonzero when the adapted antidiagonal is nonzero.
     """
-    comp = _PageComputer(_filtered_algebra(a, adapted))
+    comp = _filtered_complex(a)
     vec = dict(form.coeffs)
     if not Subspace.span(comp.z_vectors(r, w, p)).contains(vec):
         raise ValueError("form does not represent a class on this page")

@@ -10,12 +10,13 @@ d beta + beta ^ e^{2k+2} is (k+1) beta ^ (d beta)^k ^ e^{2k+2}.
 Existence questions run through two routes:
 
 * the structured route for filiform input reproduces the obstruction chain:
-  gr_C must be of m0 type, gr_L must itself carry a symplectic class in its
-  top weight 2k+1, and that class must survive the deformation.  The last
-  two links are the pages E_1 and E_infty of one spectral sequence, and
-  ``spectral.graded_survival`` reads both, E_1 first, so a failure there
-  returns before any later page is built; a surviving lift is pulled back
-  from adapted coordinates;
+  gr_C must be of m0 type (adapted alpha = 0, decided in ``lie``), gr_L must
+  itself carry a symplectic class in its top weight 2k+1, and that class
+  must survive the deformation.  The last two links are the pages E_1 and
+  E_infty of one spectral sequence, and ``spectral.graded_survival`` reads
+  both, E_1 first, so a failure there returns before any later page is
+  built; a surviving lift is pulled back from adapted coordinates.  Each
+  link reads the algebra's one cached adapted basis;
 
 * the generic route asks whether some member of a linear pencil of 2-forms
   is nondegenerate (``cochain.nondegenerate_point``).  Symplectic forms are
@@ -34,7 +35,7 @@ from . import catalog
 from .cochain import (Form, d_monomial, differential, lambda_basis,
                       nondegenerate_point)
 from .extensions import ExtensionCocycle, central_extension
-from .lie import AdaptedBasis, LieAlgebra, NotFiliform, adapted_basis
+from .lie import LieAlgebra, adapted_basis, is_filiform
 from .linalg import SpanSolver, kernel_of_map, pfaffian, vec_combination
 from .scalars import as_scalar
 from .spectral import graded_survival
@@ -132,15 +133,8 @@ def symplectic_exists(a: LieAlgebra) -> SymplecticCertificate:
     """
     if a.dim % 2:
         raise OddDimension("symplectic structures need even dimension")
-    if a.dim >= 4:
-        # the adapted-basis search computes the central series once and
-        # raises NotFiliform on it, which routes to the generic search
-        try:
-            ab = adapted_basis(a)
-        except NotFiliform:
-            pass
-        else:
-            return _symplectic_exists_filiform(a, ab)
+    if a.dim >= 4 and is_filiform(a):
+        return _symplectic_exists_filiform(a)
     return _symplectic_exists_generic(a)
 
 
@@ -162,25 +156,25 @@ def _symplectic_exists_generic(a: LieAlgebra) -> SymplecticCertificate:
     return _certify(a, Form(2, vec_combination(point, vecs)))
 
 
-def _symplectic_exists_filiform(a: LieAlgebra, ab: AdaptedBasis) -> SymplecticCertificate:
-    if ab.alpha:
+def _symplectic_exists_filiform(a: LieAlgebra) -> SymplecticCertificate:
+    if adapted_basis(a).alpha:
         # gr_C is of m1 type: no symplectic cocycle exists at all
         return SymplecticCertificate(
             False, reason="GrCNotM0",
             witness="gr_C is m1(2k); every closed 2-form lies in the span of "
                     "e^1..e^{2k-1} and is degenerate")
-    verdict = graded_survival(a, ab)
+    verdict = graded_survival(a)
     if verdict is None:
         return SymplecticCertificate(
             False, reason="GrLNotSymplectic",
             witness="gr_L carries no symplectic class in weight 2k+1")
     if verdict.survives:
         # the lift lives in adapted coordinates; transport back
-        return _certify(a, _pullback_to_original(a, ab, verdict.lift))
+        return _certify(a, _pullback_to_original(a, verdict.lift))
     return SymplecticCertificate(False, reason="SpectralObstruction", witness=verdict)
 
 
-def _pullback_to_original(a: LieAlgebra, ab: AdaptedBasis, omega: Form) -> Form:
+def _pullback_to_original(a: LieAlgebra, omega: Form) -> Form:
     """Rewrite a form given in adapted coordinates in the original basis.
 
     With e_r = sum_i x_r[i] f_i in the adapted vectors f_i, the dual forms
@@ -188,9 +182,10 @@ def _pullback_to_original(a: LieAlgebra, ab: AdaptedBasis, omega: Form) -> Form:
     sum c_ij f^i ^ f^j is sum c_ij (x_r[i] x_s[j] - x_r[j] x_s[i]).
     """
     n = a.dim
-    if list(ab.vectors) == [{i: as_scalar(1)} for i in range(1, n + 1)]:
+    vectors = list(adapted_basis(a).vectors)
+    if vectors == [{i: as_scalar(1)} for i in range(1, n + 1)]:
         return omega
-    solver = SpanSolver(list(ab.vectors))
+    solver = SpanSolver(vectors)
     x = [solver.solve({r: as_scalar(1)}) for r in range(1, n + 1)]
     dual = [{r: xr[i] for r, xr in enumerate(x, start=1) if xr[i]} for i in range(n)]
     out: dict = {}

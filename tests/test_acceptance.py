@@ -28,7 +28,7 @@ from filiform.cochain import (Form, betti_numbers, coboundary_space,
                               cohomology, differential, lambda_basis)
 from filiform.extensions import (ExtensionCocycle, central_extension,
                                  enumerate_graded_filiform, graded_isomorphic)
-from filiform.lie import (LieAlgebra, adapted_basis, gr_c, gr_l,
+from filiform.lie import (LieAlgebra, gr_c, gr_l,
                           grading_violations, jacobi_check, m0_certificate)
 from filiform.linalg import Subspace, rank_drop_candidates
 from filiform.spectral import (build_pages, canonical_block_representative,
@@ -250,8 +250,7 @@ def test_criterion_5_nonexistence():
         assert not cert.exists and cert.reason == "SpectralObstruction", alphas
         v = cert.witness
         assert v.obstruction_page == 2, alphas
-        ab = adapted_basis(a)
-        want = canonical_block_representative(a, 2, 9, 3, expected_image, ab)
+        want = canonical_block_representative(a, 2, 9, 3, expected_image)
         assert v.obstruction_image == want, alphas
 
     for n in (8, 10, 12):
@@ -279,10 +278,9 @@ FIXTURES = [
 def test_criterion_6_spectral_identification():
     for label, make in FIXTURES:
         a = make()
-        ab = adapted_basis(a)
-        graded = gr_l(a, ab)
-        pages = build_pages(a, ab)
-        assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
+        graded = gr_l(a)
+        pages = build_pages(a)
+        assert page_dimensions(a) == [pg.block_dims() for pg in pages], label
         dims = pages[0].block_dims()
         for p in range(a.dim + 1):
             weights = sorted({sum(idx) for idx in lambda_basis(a.dim, p)}) or [0]

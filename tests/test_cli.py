@@ -19,7 +19,7 @@ from filiform import catalog, cli
 from filiform.cli import main
 from filiform.cochain import Form, differential
 from filiform.linalg import pfaffian
-from test_lie import jacobi_computations, random_base_change
+from test_lie import computations, random_base_change
 
 
 def run(capsys, *argv):
@@ -86,11 +86,24 @@ def test_check_series_of_a_non_jacobi_table_brackets_every_basis_vector(tmp_path
 @pytest.mark.parametrize("argv", [["check"], ["cohomology", "--degree", "2"],
                                   ["symplectic"], ["spectral", "--report"]])
 def test_each_command_decides_the_jacobi_identity_once(tmp_path, capsys, monkeypatch, argv):
-    seen = jacobi_computations(monkeypatch)
+    seen = computations(monkeypatch, "jacobi_defects")
     path = write_algebra(tmp_path, "deformation_23", alphas=(1, 2, 3))
     assert main([argv[0], path, *argv[1:]]) == 0
     capsys.readouterr()
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("argv", [["check"], ["cohomology", "--degree", "2"],
+                                  ["symplectic"], ["spectral", "--report"]])
+def test_each_command_builds_the_series_and_the_adapted_basis_once(
+        tmp_path, capsys, monkeypatch, argv):
+    series = computations(monkeypatch, "central_series")
+    bases = computations(monkeypatch, "adapted_basis")
+    path = write_algebra(tmp_path, "deformation_23", alphas=(1, 2, 3))
+    assert main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(series) <= 1
+    assert len(bases) == (argv[0] in ("symplectic", "spectral"))
 
 
 def test_check_m1_reports_filiform_but_not_graded(tmp_path, capsys):

@@ -151,10 +151,11 @@ def test_central_series_of_a_non_jacobi_table_brackets_every_basis_vector():
     assert not is_filiform(a)
 
 
-def jacobi_computations(monkeypatch) -> list:
-    """The algebras whose ``jacobi_defects`` are computed from now on, one
-    entry per computation."""
-    prop = LieAlgebra.__dict__["jacobi_defects"]
+def computations(monkeypatch, name: str) -> list:
+    """The algebras whose cached property ``name`` (``jacobi_defects``,
+    ``central_series``, ``adapted_basis``) is computed from now on, one entry
+    per computation."""
+    prop = LieAlgebra.__dict__[name]
     seen = []
 
     def counted(algebra, compute=prop.func):
@@ -166,7 +167,7 @@ def jacobi_computations(monkeypatch) -> list:
 
 
 def test_jacobi_defects_are_computed_once_per_algebra(monkeypatch):
-    seen = jacobi_computations(monkeypatch)
+    seen = computations(monkeypatch, "jacobi_defects")
     a = LieAlgebra.from_dict(catalog.build("m02", n=10).to_dict())
     assert seen == [a]
     assert jacobi_check(a) == [] and jacobi_check(a) == []
@@ -202,6 +203,86 @@ def test_is_filiform():
     assert is_filiform(catalog.build("m2", n=9))
     assert not is_filiform(catalog.build("heisenberg", n=5))
     assert not is_filiform(LieAlgebra(3, {(1, 2): {1: 1}}))  # not nilpotent
+
+
+def m0_5_without_jacobi():
+    """m0(5) with [e2, e3] = e4 added: the Jacobi identity fails at (1, 2, 3)
+    (defect -e5), and the bracket series still has the filiform shape."""
+    return LieAlgebra(5, {**catalog.build("m0", n=5).brackets, (2, 3): {4: 1}})
+
+
+def test_a_table_that_breaks_jacobi_is_not_filiform():
+    from filiform.spectral import page_dimensions
+    a = m0_5_without_jacobi()
+    assert jacobi_check(a) == [(1, 2, 3, {5: Fraction(-1)})]
+    assert series_dims(a) == [5, 3, 2, 1, 0]
+    assert not is_filiform(a)
+    with pytest.raises(NotFiliform):
+        adapted_basis(a)
+    with pytest.raises(NotFiliform):
+        page_dimensions(a)
+
+
+AGREEMENT_CASES = [
+    ("abelian(1)", abelian(1)), ("abelian(2)", abelian(2)), ("abelian(4)", abelian(4)),
+    ("h3", catalog.build("heisenberg", n=3)), ("h5", catalog.build("heisenberg", n=5)),
+    ("m0(7)", catalog.build("m0", n=7)), ("m1(8)", catalog.build("m1", n=8)),
+    ("V(9)", catalog.build("V", n=9)),
+    ("deformation_23", catalog.build("deformation_23", alphas=(1, 2, 3))),
+    ("not nilpotent", LieAlgebra(3, {(1, 2): {1: 1}})),
+    ("m0(5) without Jacobi", m0_5_without_jacobi()),
+]
+
+
+@pytest.mark.parametrize("label, a", AGREEMENT_CASES, ids=[c[0] for c in AGREEMENT_CASES])
+def test_series_adapted_basis_and_is_filiform_agree(label, a):
+    series = central_series(a)
+    assert series == bruteforce_series(a), label
+    shape = series[-1].dim == 0 and len(series) - 1 == a.dim - 1
+    assert is_filiform(a) == (shape and not jacobi_check(a))
+    if is_filiform(a):
+        adapted_basis(a)
+    else:
+        with pytest.raises(NotFiliform):
+            adapted_basis(a)
+
+
+def test_series_and_adapted_basis_are_computed_once_per_algebra(monkeypatch):
+    series_seen = computations(monkeypatch, "central_series")
+    basis_seen = computations(monkeypatch, "adapted_basis")
+    a = catalog.build("deformation_23", alphas=(1, 2, 3))
+    for _ in range(2):
+        assert is_filiform(a)
+        central_series(a)
+        ab = adapted_basis(a)
+        gr_c(a)
+        gr_l(a)
+    assert series_seen == [a] and basis_seen == [a]
+    assert adapted_basis(a) is ab
+
+
+@pytest.mark.parametrize("build", [
+    lambda: abelian(2), lambda: catalog.build("m0", n=8), lambda: catalog.build("m1", n=8),
+    lambda: catalog.build("deformation_23", alphas=(1, 2, 3)),
+], ids=["abelian(2)", "m0(8)", "m1(8)", "deformation_23"])
+def test_algebra_is_freed_without_the_cycle_collector(build):
+    # the cached adapted basis holds its own table, never the algebra itself,
+    # so an algebra and its cached invariants go with the last reference
+    import gc
+    import weakref
+    from filiform.structures import symplectic_exists
+    a = build()
+    central_series(a)
+    adapted_basis(a)
+    if a.dim >= 4:
+        symplectic_exists(a)
+    ref = weakref.ref(a)
+    gc.disable()
+    try:
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_center_of_filiform_is_last_line():
@@ -338,7 +419,7 @@ def test_adapted_basis_deformation_t1():
     a = catalog.build("abelian_commutant", n=9, t=1, alphas=(2,))
     ab = adapted_basis(a)
     assert ab.alpha == 0
-    assert gr_l(a, ab).brackets == catalog.build("m0", n=9).brackets
+    assert gr_l(a).brackets == catalog.build("m0", n=9).brackets
 
 
 def test_adapted_basis_m1_has_alpha_minus_one():
@@ -347,7 +428,7 @@ def test_adapted_basis_m1_has_alpha_minus_one():
     assert ab.alpha == Fraction(-1)
     assert adapted_basis(a).alpha  # gr_C is of m1 type
     with pytest.raises(AlphaNonzero):
-        gr_l(a, ab)
+        gr_l(a)
 
 
 def test_not_filiform_raises():

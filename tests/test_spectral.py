@@ -6,8 +6,8 @@ import pytest
 
 from filiform import catalog
 from filiform.cochain import Form, betti_numbers, cohomology, lambda_basis
-from filiform.lie import adapted_basis, gr_l
-from filiform.spectral import (FiltrationUndefined, _PageComputer, build_pages,
+from filiform.lie import AlphaNonzero, adapted_basis, gr_l
+from filiform.spectral import (_PageComputer, build_pages,
                                canonical_block_representative, page_dimensions,
                                symplectic_survival)
 
@@ -35,15 +35,14 @@ def built():
     """{label: (adapted basis, build_pages output)} for every DEFORMATIONS entry."""
     out = {}
     for label, a in DEFORMATIONS:
-        ab = adapted_basis(a)
-        out[label] = (ab, build_pages(a, ab))
+        out[label] = (adapted_basis(a), build_pages(a))
     return out
 
 
 def test_page_one_is_graded_cohomology(built):
     for label, a in DEFORMATIONS:
-        ab, pages = built[label]
-        graded = gr_l(a, ab)
+        _, pages = built[label]
+        graded = gr_l(a)
         page1 = pages[0]
         dims = page1.block_dims()
         for p in range(a.dim + 1):
@@ -92,7 +91,7 @@ def test_blocks_skipped_after_vanishing_are_zero(built):
     for label, a in DEFORMATIONS:
         ab, pages = built[label]
         comp = _PageComputer(ab.algebra)
-        for r, dims in enumerate(page_dimensions(a, ab), start=1):
+        for r, dims in enumerate(page_dimensions(a), start=1):
             for p in range(a.dim + 1):
                 for w in sorted(set(comp.weights[p])):
                     if (w, p) not in dims:
@@ -135,8 +134,8 @@ def test_d_r_squared_zero(built):
 def test_page_dimensions_match_build_pages(built):
     # the persistence pairing against the full pages, page count included
     for label, a in DEFORMATIONS:
-        ab, pages = built[label]
-        assert page_dimensions(a, ab) == [pg.block_dims() for pg in pages], label
+        _, pages = built[label]
+        assert page_dimensions(a) == [pg.block_dims() for pg in pages], label
 
 
 def test_pages_and_survival_build_one_computer(built, monkeypatch):
@@ -150,12 +149,11 @@ def test_pages_and_survival_build_one_computer(built, monkeypatch):
             super().__init__(algebra)
 
     for label, a in DEFORMATIONS:
-        ab, _ = built[label]
-        expected = (page_dimensions(a, ab),
-                    None if a.dim % 2 else symplectic_survival(a, ab))
+        expected = (page_dimensions(a),
+                    None if a.dim % 2 else symplectic_survival(a))
         monkeypatch.setattr(spectral, "_PageComputer", Counting)
         made.clear()
-        assert spectral.pages_and_survival(a, ab) == expected, label
+        assert spectral.pages_and_survival(a) == expected, label
         assert len(made) == 1, label
         monkeypatch.undo()
 
@@ -244,7 +242,7 @@ def test_page_dimensions_match_the_reduction_of_every_degree(n):
     a = catalog.build("deformation_21", n=n, alphas=(1,))
     ab = adapted_basis(a)
     oracle = counted_page_dimensions(_UnmirroredPageComputer(ab.algebra))
-    assert page_dimensions(a, ab) == oracle
+    assert page_dimensions(a) == oracle
 
 
 def test_page_dimensions_build_only_the_lower_half_of_the_bases(monkeypatch):
@@ -340,10 +338,10 @@ def test_page_dimensions_lazy_bases_match_eager_build(monkeypatch):
 
     for label, a in DEFORMATIONS:
         ab = adapted_basis(a)
-        lazy = page_dimensions(a, ab)
+        lazy = page_dimensions(a)
         with monkeypatch.context() as m:
             m.setattr(spectral, "_PageComputer", EagerPageComputer)
-            assert page_dimensions(a, ab) == lazy, label
+            assert page_dimensions(a) == lazy, label
         comp = _PageComputer(ab.algebra)
         for p in range(a.dim + 2):
             eager = spectral.monomials_by_weight(a.dim, p, range(1, a.dim + 1))
@@ -379,9 +377,8 @@ def test_page_dimensions_match_build_pages_on_random_deformations():
             for name, params in (("deformation_21", {}),
                                  ("abelian_commutant", {"t": rng.randint(0, 2)})):
                 a = catalog.build(name, n=n, alphas=alphas, **params)
-                ab = adapted_basis(a)
-                want = [pg.block_dims() for pg in build_pages(a, ab)]
-                assert page_dimensions(a, ab) == want, (name, n, alphas, params)
+                want = [pg.block_dims() for pg in build_pages(a)]
+                assert page_dimensions(a) == want, (name, n, alphas, params)
 
 
 def _corner_witness(pages, top):
@@ -487,21 +484,20 @@ CORNER_CASES = [c for c in PAIRING_CASES if c[1].dim % 2 == 0] + [
 def test_graded_symplectic_is_the_class_of_gr_l(label, a):
     # the E_1 corner read by the survival test against H^2_{2k+1}(gr_L)
     from filiform.cochain import nondegenerate_point
-    ab = adapted_basis(a)
-    reps = cohomology(gr_l(a, ab), 2, weight=a.dim + 1).representatives
+    reps = cohomology(gr_l(a), 2, weight=a.dim + 1).representatives
     expected = nondegenerate_point(a.dim, [f.coeffs for f in reps]) is not None
-    assert symplectic_survival(a, ab).graded_symplectic == expected
+    assert symplectic_survival(a).graded_symplectic == expected
     # graded m2(8) has no symplectic class; the other cases have one
     assert expected == (label != "graded m2(8)")
 
 
 def test_filtration_undefined_for_m1():
-    with pytest.raises(FiltrationUndefined):
+    with pytest.raises(AlphaNonzero):
         build_pages(catalog.build("m1", n=8))
 
 
 def test_canonical_block_representative_undefined_for_m1():
-    with pytest.raises(FiltrationUndefined):
+    with pytest.raises(AlphaNonzero):
         canonical_block_representative(catalog.build("m1", n=8), 1, 9, 2,
                                        Form.monomial((1, 8)))
 

@@ -17,6 +17,7 @@ from filiform.structures import (EvenDimension,
                                  contact_exists, contactize, is_symplectic_form,
                                  symplectic_catalog_check, symplectic_exists,
                                  wedge_power)
+from test_lie import computations
 
 F = Form.from_pairs
 
@@ -262,15 +263,7 @@ def test_nondegenerate_point_past_the_witness_points():
 
 
 def test_symplectic_verdict_computes_the_central_series_once(monkeypatch):
-    import filiform.lie as lie
-    calls = []
-    series = lie.central_series
-
-    def counting(a):
-        calls.append(a.dim)
-        return series(a)
-
-    monkeypatch.setattr(lie, "central_series", counting)
+    calls = computations(monkeypatch, "central_series")
     for a in (catalog.build("V", n=10), catalog.build("m1", n=8),
               catalog.build("deformation_23", alphas=(1, 2, 3)), abelian(6)):
         calls.clear()

@@ -26,7 +26,7 @@ from .extensions import enumerate_graded_filiform
 from .lie import (LieAlgebra, central_series, grading_violations, is_filiform,
                   jacobi_check)
 from .scalars import format_rat, rat
-from .spectral import degree_totals, pages_and_survival
+from .spectral import degree_totals, page_dimensions, symplectic_survival
 from .structures import contact_exists, symplectic_exists
 
 
@@ -209,7 +209,8 @@ def cmd_contact(args) -> int:
 def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
     try:
-        pages, verdict = pages_and_survival(a)
+        pages = page_dimensions(a)
+        verdict = None if a.dim % 2 else symplectic_survival(a)
     except (ValueError, RuntimeError) as exc:
         raise InputError(str(exc)) from exc
     tables = []

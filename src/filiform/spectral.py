@@ -53,14 +53,14 @@ they reverse the (weight, idx) order: pairs and gaps correspond
 dim E_r(w, p) = dim E_r(N - w, n - p).
 
 The survival question for the symplectic corner block (w = 2k+1, degree 2)
-is decided exactly.  Nothing maps into the corner (1-forms weigh <= 2k), so
-its E_1 block is H^2_{2k+1}(gr_L), read as the kernel of the leading part of
-d.  A class survives to the last page iff it is the leading term of a
-closed 2-form, and such a closed form with symplectic leading term is
-itself symplectic (the top power only sees the leading weight).  The first
-nonzero d_r out of the corner sits on the page r* = the smallest gap >= 1
-of a corner monomial; the obstruction witness builds only the corner block
-and its target on that page.
+is decided exactly by ``symplectic_survival``.  Nothing maps into the
+corner (1-forms weigh <= 2k), so its E_1 block is H^2_{2k+1}(gr_L), read
+as the kernel of the leading part of d.  A class survives to the last page
+iff it is the leading term of a closed 2-form, and such a closed form with
+symplectic leading term is itself symplectic (the top power only sees the
+leading weight).  The first nonzero d_r out of the corner sits on the page
+r* = the smallest gap >= 1 of a corner monomial; the obstruction witness
+builds only the corner block and its target on that page.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ def build_pages(a: LieAlgebra) -> list[SpectralPage]:
     """
     comp = _filtered_complex(a)
     pages = []
-    for r, dims in enumerate(_page_dimensions(comp), start=1):
+    for r, dims in enumerate(page_dimensions(a), start=1):
         reps_of, denoms = {}, {}
         for (w, p), size in dims.items():
             reps_of[(w, p)], denoms[(w, p)] = comp.block(r, w, p)
@@ -316,17 +316,12 @@ def page_dimensions(a: LieAlgebra) -> list[dict]:
     unpaired monomials), and after at most 2 dim + 1 pages.  ``build_pages``
     builds the blocks it lists, so it equals [page.block_dims() for page in
     build_pages(a)], and a block of another size raises there.
-    """
-    return _page_dimensions(_filtered_complex(a))
-
-
-def _page_dimensions(comp: _PageComputer) -> list[dict]:
-    """``page_dimensions`` of the filtered complex of comp.
 
     The degrees p <= n/2 are counted; the rest mirror them by the duality
     of ``_PageComputer.pairing``, dim E_r(w, p) = dim E_r(N - w, n - p)
     with N = n(n+1)/2, so no monomial basis above degree ceil(n/2) is built.
     """
+    comp = _filtered_complex(a)
     n = comp.n
     half, top = n // 2, n * (n + 1) // 2
     gaps: dict = {}  # monomials absent from every pairing are unpaired
@@ -379,36 +374,14 @@ def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
     nonzero page differential out of the corner is the obstruction witness;
     its page is the smallest pairing gap >= 1 of a corner monomial, and only
     the corner block and its target are built on that page.
+
+    The one survival entry: ``structures.symplectic_exists`` reads
+    ``graded_symplectic`` (the gr_L link), then ``survives``; the
+    ``spectral`` command prints the verdict after ``page_dimensions``.
     """
     if a.dim % 2:
         raise ValueError("survival question needs even dimension")
-    return _survival(_filtered_complex(a))
-
-
-def pages_and_survival(a: LieAlgebra) -> tuple[list[dict], SurvivalVerdict | None]:
-    """(``page_dimensions(a)``, ``symplectic_survival(a)`` on an even
-    dimension, else None) from one ``_PageComputer``, so the survival test
-    reuses the d images and the pairings of the pages."""
     comp = _filtered_complex(a)
-    return _page_dimensions(comp), None if a.dim % 2 else _survival(comp)
-
-
-def graded_survival(a: LieAlgebra) -> SurvivalVerdict | None:
-    """``symplectic_survival(a)``, or None when gr_L carries no
-    symplectic class in weight 2k+1.
-
-    The E_1 corner is read first, and a corner without a symplectic class
-    returns before the closed 2-forms, the pairing and the obstruction
-    block are built: the chain has failed at E_1, so no witness is needed.
-    """
-    if a.dim % 2:
-        raise ValueError("survival question needs even dimension")
-    return _survival(_filtered_complex(a), if_graded=True)
-
-
-def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict | None:
-    """``symplectic_survival`` on the even-dimensional complex of comp; with
-    if_graded, None as soon as the E_1 corner holds no symplectic class."""
     b = comp.algebra
     n = b.dim
     top = n + 1  # the corner weight 2k + 1, n = 2k
@@ -420,8 +393,6 @@ def _survival(comp: _PageComputer, if_graded: bool = False) -> SurvivalVerdict |
     corner = [idx for idx, w in zip(comp.bases[2], comp.weights[2]) if w == top]
     classes = rref(kernel_of_map(corner, [leading(comp.d_of(idx)) for idx in corner]))[1]
     graded = bool(classes) and nondegenerate_point(n, classes) is not None
-    if if_graded and not graded:
-        return None
     if graded:  # the lifts' leading parts lie in the E_1 corner
         lifts = [v for v in comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge}: dx = 0
                  if leading(v)]

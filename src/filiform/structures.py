@@ -13,10 +13,10 @@ Existence questions run through two routes:
   gr_C must be of m0 type (adapted alpha = 0, decided in ``lie``), gr_L must
   itself carry a symplectic class in its top weight 2k+1, and that class
   must survive the deformation.  The last two links are the pages E_1 and
-  E_infty of one spectral sequence, and ``spectral.graded_survival`` reads
-  both, E_1 first, so a failure there returns before any later page is
-  built; a surviving lift is pulled back from adapted coordinates.  Each
-  link reads the algebra's one cached adapted basis;
+  E_infty of one spectral sequence, and one ``spectral.symplectic_survival``
+  verdict answers both: ``graded_symplectic`` for E_1, then ``survives``;
+  a surviving lift is pulled back from adapted coordinates.  Each link
+  reads the algebra's one cached adapted basis;
 
 * the generic route asks whether some member of a linear pencil of 2-forms
   is nondegenerate (``cochain.nondegenerate_point``).  Symplectic forms are
@@ -38,7 +38,7 @@ from .extensions import ExtensionCocycle, central_extension
 from .lie import LieAlgebra, adapted_basis, is_filiform
 from .linalg import SpanSolver, kernel_of_map, pfaffian, vec_combination
 from .scalars import as_scalar
-from .spectral import graded_survival
+from .spectral import symplectic_survival
 
 
 class OddDimension(ValueError):
@@ -163,8 +163,8 @@ def _symplectic_exists_filiform(a: LieAlgebra) -> SymplecticCertificate:
             False, reason="GrCNotM0",
             witness="gr_C is m1(2k); every closed 2-form lies in the span of "
                     "e^1..e^{2k-1} and is degenerate")
-    verdict = graded_survival(a)
-    if verdict is None:
+    verdict = symplectic_survival(a)
+    if not verdict.graded_symplectic:
         return SymplecticCertificate(
             False, reason="GrLNotSymplectic",
             witness="gr_L carries no symplectic class in weight 2k+1")

@@ -190,6 +190,68 @@ def test_spectral_report(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("argv, name, params, calls", [
+    (["spectral", "--report"], "deformation_23", {"alphas": (1, 2, 3)}, 1),
+    (["spectral"], "deformation_21", {"n": 9}, 0),  # odd: no survival question
+    (["symplectic"], "deformation_23", {"alphas": (1, 2, 3)}, 1),
+    (["symplectic"], "m1", {"n": 8}, 0),  # GrCNotM0 comes first
+])
+def test_commands_ask_the_one_survival_entry(tmp_path, capsys, monkeypatch,
+                                             argv, name, params, calls):
+    # the spectral command and the symplectic verdict reach the survival step
+    # through spectral.symplectic_survival itself, so a tracer of it sees them
+    from filiform import spectral, structures
+    seen = []
+
+    def counted(a, survival=spectral.symplectic_survival):
+        seen.append(a)
+        return survival(a)
+
+    for module in (cli, structures):
+        monkeypatch.setattr(module, "symplectic_survival", counted)
+    path = write_algebra(tmp_path, name, **params)
+    assert main([argv[0], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+
+
+# what a change of basis keeps, per command, of a command's result
+_INVARIANT_FIELDS = [
+    (["symplectic"], lambda r: (r["exists"], r.get("reason"))),
+    (["contact"], lambda r: r["exists"]),
+    (["check"], lambda r: (r["central_series_dims"], r["filiform"])),
+    (["cohomology", "--degree", "2"], lambda r: r["dim"]),
+    (["spectral", "--report"],
+     lambda r: ([t["blocks"] for t in r["pages"]],
+                r.get("symplectic_survival", {}).get("survives"))),
+]
+
+
+def _invariants(capsys, path) -> dict:
+    out = {}
+    for argv, read in _INVARIANT_FIELDS:
+        code, doc = run(capsys, argv[0], path, *argv[1:])
+        out[argv[0]] = (code, read(doc["result"]) if code == 0 else None)
+    return out
+
+
+@pytest.mark.parametrize("name, params", [
+    ("deformation_23", {"alphas": (1, 2, 3)}), ("deformation_23", {"alphas": (0, 0, 0)}),
+    ("m0", {"n": 8}), ("g8", {"alpha": 3}), ("m1", {"n": 8}), ("V", {"n": 9}),
+    ("deformation_21", {"n": 10, "alphas": (1,)}),
+])
+def test_verdicts_survive_a_random_base_change(tmp_path, capsys, name, params):
+    # metamorphic: the same algebra in a seeded dense basis, without its
+    # weights, gets the same verdicts, series, H^2 and page dimensions
+    a = catalog.build(name, **params)
+    doc = random_base_change(a, random.Random(f"{name}{params}"), 0.5).to_dict()
+    doc.pop("weights", None)
+    plain, changed = tmp_path / "plain.json", tmp_path / "changed.json"
+    plain.write_text(json.dumps(a.to_dict()))
+    changed.write_text(json.dumps(doc))
+    assert _invariants(capsys, str(changed)) == _invariants(capsys, str(plain))
+
+
 def test_catalog_roundtrip(tmp_path, capsys):
     out = tmp_path / "v12.json"
     code = main(["catalog", "--name", "V", "--dim", "12", "--emit", str(out)])

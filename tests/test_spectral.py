@@ -103,15 +103,15 @@ def test_build_pages_checks_blocks_against_the_pairing(monkeypatch):
     # the pairing's block counts are a live check on the built blocks
     from filiform import spectral
     a = catalog.build("deformation_21", n=8, alphas=(1,))
-    pairing_dims = spectral._page_dimensions
+    pairing_dims = spectral.page_dimensions
 
-    def off_by_one(comp):
-        pages = pairing_dims(comp)
+    def off_by_one(algebra):
+        pages = pairing_dims(algebra)
         key = next(iter(pages[-1]))
         pages[-1][key] += 1
         return pages
 
-    monkeypatch.setattr(spectral, "_page_dimensions", off_by_one)
+    monkeypatch.setattr(spectral, "page_dimensions", off_by_one)
     with pytest.raises(AssertionError, match="persistence pairing"):
         build_pages(a)
 
@@ -136,26 +136,6 @@ def test_page_dimensions_match_build_pages(built):
     for label, a in DEFORMATIONS:
         _, pages = built[label]
         assert page_dimensions(a) == [pg.block_dims() for pg in pages], label
-
-
-def test_pages_and_survival_build_one_computer(built, monkeypatch):
-    # the spectral command's pair of results, from a single _PageComputer
-    from filiform import spectral
-    made = []
-
-    class Counting(spectral._PageComputer):
-        def __init__(self, algebra):
-            made.append(algebra)
-            super().__init__(algebra)
-
-    for label, a in DEFORMATIONS:
-        expected = (page_dimensions(a),
-                    None if a.dim % 2 else symplectic_survival(a))
-        monkeypatch.setattr(spectral, "_PageComputer", Counting)
-        made.clear()
-        assert spectral.pages_and_survival(a) == expected, label
-        assert len(made) == 1, label
-        monkeypatch.undo()
 
 
 def reference_pairing(comp, p):
@@ -210,7 +190,7 @@ class _UnmirroredPageComputer(_PageComputer):
         return self._pairings[p]
 
 
-def counted_page_dimensions(comp):
+def pages_counted_over_every_degree(comp):
     """Page dimensions counted over every degree from the pairings of comp,
     with the stop rule of ``page_dimensions``."""
     from filiform.spectral import degree_totals
@@ -241,7 +221,7 @@ def test_page_dimensions_match_the_reduction_of_every_degree(n):
     # the mirrored counts against a column reduction of every degree
     a = catalog.build("deformation_21", n=n, alphas=(1,))
     ab = adapted_basis(a)
-    oracle = counted_page_dimensions(_UnmirroredPageComputer(ab.algebra))
+    oracle = pages_counted_over_every_degree(_UnmirroredPageComputer(ab.algebra))
     assert page_dimensions(a) == oracle
 
 

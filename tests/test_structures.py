@@ -172,24 +172,17 @@ def test_t0_deformations_have_no_symplectic_structure():
     ("g10", "-1/4"), ("g10", "-1"), ("g10", "-3"),
 ])
 def test_grl_not_symplectic_is_decided_on_the_e1_corner(monkeypatch, family, alpha):
-    # the verdict needs no closed 2-forms, no pairing and no obstruction block
+    # past a non-symplectic corner no closed lift and no obstruction block
+    # is built: a graded algebra has no corner pairing gap >= 1
     def unreachable(*args):
         raise AssertionError("survival witness built past the E_1 corner")
 
     monkeypatch.setattr(spectral._PageComputer, "z_vectors", unreachable)
-    monkeypatch.setattr(spectral._PageComputer, "pairing", unreachable)
     a = catalog.build(family, alpha=Fraction(alpha))
-    assert spectral.graded_survival(a) is None
+    verdict = spectral.symplectic_survival(a)
+    assert verdict.graded_symplectic is False
+    assert verdict.obstruction_page is None
     assert symplectic_exists(a).reason == "GrLNotSymplectic"
-
-
-@pytest.mark.parametrize("name, params", [
-    ("m0", {"n": 8}), ("deformation_21", {"n": 10, "alphas": (1,)}),
-    ("deformation_23", {"alphas": (0, 0, 0)}), ("g10", {"alpha": 2}),
-])
-def test_graded_survival_is_symplectic_survival_when_graded(name, params):
-    a = catalog.build(name, **params)
-    assert spectral.graded_survival(a) == spectral.symplectic_survival(a)
 
 
 def test_deformation_23_spectral_obstruction():

@@ -145,8 +145,15 @@ def build_m03(n: int, variant: str = "table") -> LieAlgebra:
     return LieAlgebra(n, table, weights=range(1, n + 1))
 
 
+def _parameter(alpha):
+    """alpha as a Fraction, or the RatFunc symbol as it is: the g-family
+    constants divide by polynomials in alpha, and a Fraction keeps those
+    quotients exact."""
+    return alpha if isinstance(alpha, RatFunc) else rat(alpha)
+
+
 def _g7_table(alpha) -> dict:
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     return {
         **_chain(7),
         (2, 3): {5: a + 2},
@@ -161,7 +168,7 @@ def build_g7(alpha) -> LieAlgebra:
 
 
 def build_g8(alpha) -> LieAlgebra:
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     table = _g7_table(a)
     table[(1, 7)] = {8: 1}
     table[(2, 6)] = {8: a}
@@ -182,7 +189,7 @@ def _guard_not(alpha, family: str, name: str | None = None):
 
 def build_g9(alpha) -> LieAlgebra:
     _guard_not(alpha, "g9")
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     table = build_g8(a).brackets.copy()
     den = 2 * a + 5
     table[(1, 8)] = {9: 1}
@@ -194,7 +201,7 @@ def build_g9(alpha) -> LieAlgebra:
 
 def build_g10(alpha) -> LieAlgebra:
     _guard_not(alpha, "g10")
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     table = build_g9(a).brackets.copy()
     den = 2 * a + 5
     table[(1, 9)] = {10: 1}
@@ -206,7 +213,7 @@ def build_g10(alpha) -> LieAlgebra:
 
 def build_g11(alpha) -> LieAlgebra:
     _guard_not(alpha, "g11")
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     table = build_g10(a).brackets.copy()
     d1 = 2 * (a * a + 4 * a + 3)
     d2 = d1 * (2 * a + 5)
@@ -347,7 +354,7 @@ def form_g8_symplectic(alpha) -> Form:
     {-2, -1, 1/2}; undefined at -5/2.
     """
     _guard_not(alpha, "g9", "omega_9")
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     den = 2 * a + 5
     return Form(2, {
         (1, 8): as_scalar(1),
@@ -360,7 +367,7 @@ def form_g8_symplectic(alpha) -> Form:
 def form_g10_symplectic(alpha) -> Form:
     """omega_11(alpha) on g_{10,alpha}; undefined at alpha in {-5/2, -1, -3}."""
     _guard_not(alpha, "g11", "omega_11")
-    a = as_scalar(alpha)
+    a = _parameter(alpha)
     d1 = 2 * (a * a + 4 * a + 3)
     d2 = d1 * (2 * a + 5)
     return Form(2, {

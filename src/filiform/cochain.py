@@ -8,7 +8,8 @@ exact scalars.  The differential follows the convention
 the dual of the bracket extended as a derivation.  d^2 = 0 is the Jacobi
 identity (the coefficient of d(d e^m) on e^i ^ e^j ^ e^k is the e_m-part of
 the defect of (i, j, k)), decided once per algebra by ``lie.jacobi_check``;
-every complex built here presumes it.  :func:`d_monomial` is the one Leibniz
+every complex built here presumes it, and :func:`cohomology` refuses a
+table with a defect (``NotAComplex``).  :func:`d_monomial` is the one Leibniz
 expansion of d: it reads the table of d e^k that the algebra holds
 (``dual_table``) and returns d of a single monomial as a sparse vector;
 :func:`differential`, :func:`d_matrix`, the coboundaries and the spectral
@@ -42,7 +43,6 @@ import itertools
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import (Matrix, Vec, kernel_of_map, pfaffian, pivot_columns, rref,
                      vec_add, vec_combination, vec_scale)
@@ -56,6 +56,11 @@ class WeightsMissing(ValueError):
 
 class NotCocycle(ValueError):
     pass
+
+
+class NotAComplex(ValueError):
+    """The brackets break the Jacobi identity, so d^2 != 0 and the cochains
+    are no complex."""
 
 
 def _merge_sign(seq) -> tuple[tuple, int] | None:
@@ -173,11 +178,11 @@ def _max_grid() -> int:
 
 
 def _witness_points(m: int):
-    yield tuple(Fraction(1) for _ in range(m))
+    yield (1,) * m
     primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-    yield tuple(Fraction(primes[i % len(primes)] ** (1 + i // len(primes))) for i in range(m))
-    yield tuple(Fraction(1 + 3 * i) for i in range(m))
-    yield tuple(Fraction((-2) ** (i % 3 + 1)) for i in range(m))
+    yield tuple(primes[i % len(primes)] ** (1 + i // len(primes)) for i in range(m))
+    yield tuple(1 + 3 * i for i in range(m))
+    yield tuple((-2) ** (i % 3 + 1) for i in range(m))
 
 
 def nondegenerate_point(n: int, vecs: list) -> tuple | None:
@@ -369,12 +374,17 @@ def cohomology(a: LieAlgebra, p: int, weight: int | None = None) -> CohomologyBl
 
     On graded algebras the full space is assembled from weight blocks; on
     ungraded ones it is one global elimination.  Requesting a weight on an
-    unweighted algebra raises WeightsMissing.
+    unweighted algebra raises WeightsMissing, and a table that breaks the
+    Jacobi identity (read off the cached ``jacobi_defects``) raises
+    NotAComplex.
     """
     if not 0 <= p <= a.dim:
         raise ValueError(f"degree {p} outside 0..{a.dim}")
     if weight is not None and a.weights is None:
         raise WeightsMissing("weight restriction requires a graded algebra")
+    if a.jacobi_defects:
+        i, j, k, _ = a.jacobi_defects[0]
+        raise NotAComplex(f"d^2 != 0: the Jacobi identity fails at ({i},{j},{k})")
     if a.weights is None:
         reps = _block(a, p, lambda_basis(a.dim, p), lambda_basis(a.dim, p - 1))
         return CohomologyBlock(p, None, tuple(reps), len(reps))

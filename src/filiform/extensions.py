@@ -33,7 +33,7 @@ from .cochain import (Form, NotCocycle, cohomology, d_matrix, differential,
                       lambda_basis)
 from .lie import LieAlgebra, center, is_filiform
 from .linalg import kernel_and_rank_drops, rref
-from .scalars import RatFunc, as_scalar, rational_roots
+from .scalars import RatFunc, as_scalar, div, rational_roots
 
 log = logging.getLogger(__name__)
 
@@ -145,7 +145,7 @@ def chain_constants(a: LieAlgebra) -> dict:
             continue
         if i + j > n or comps.keys() != {pos[i + j]}:
             raise NotGradedFiliform("bracket is not weight-homogeneous")
-        out[(i, j)] = sign * scale[i] * scale[j] * comps[pos[i + j]] / scale[i + j]
+        out[(i, j)] = div(sign * scale[i] * scale[j] * comps[pos[i + j]], scale[i + j])
     return dict(sorted(out.items()))
 
 
@@ -156,7 +156,7 @@ def _normal_form(a: LieAlgebra) -> dict:
         return {}
     first = min(constants)
     t = constants[first]
-    return {k: v / t for k, v in constants.items()}
+    return {k: div(v, t) for k, v in constants.items()}
 
 
 def graded_isomorphic(a: LieAlgebra, b: LieAlgebra) -> bool:
@@ -171,7 +171,7 @@ def graded_isomorphic(a: LieAlgebra, b: LieAlgebra) -> bool:
     return _normal_form(a) == _normal_form(b)
 
 
-def family_parameter_match(a: LieAlgebra, family: str) -> Fraction | None:
+def family_parameter_match(a: LieAlgebra, family: str) -> int | Fraction | None:
     """The alpha with a isomorphic to the named g-family member, if any.
 
     The families keep [e_3, e_4] = e_{7} (and its images) nonzero, so the
@@ -184,7 +184,7 @@ def family_parameter_match(a: LieAlgebra, family: str) -> Fraction | None:
     t = ca.get((3, 4))
     if not t:
         return None
-    alpha = ca.get((2, 3), Fraction(0)) / t - 2
+    alpha = div(ca.get((2, 3), 0), t) - 2
     if isinstance(alpha, RatFunc):
         return None
     try:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .linalg import (SpanSolver, Subspace, Vec, kernel_of_map, vec_add, vec_axpy,
                      vec_axpy_into)
-from .scalars import as_scalar, format_rat, is_decimal_rational, rat, scalar_at
+from .scalars import as_scalar, div, format_rat, is_decimal_rational, scalar_at
 
 
 class NotNilpotent(ValueError):
@@ -310,10 +310,14 @@ def _document_int(x, what: str) -> int:
     return x
 
 
-def _document_rat(x) -> Fraction:
-    # a bool is an int to isinstance
-    if type(x) is int or (isinstance(x, str) and is_decimal_rational(x)):
-        return rat(x)
+def _document_rat(x) -> int | Fraction:
+    """The scalar of a document coefficient; an integer is read as an int,
+    with no Fraction built for it."""
+    if type(x) is int:  # a bool is an int to isinstance
+        return x
+    if isinstance(x, str) and is_decimal_rational(x):
+        num, _, den = x.partition("/")
+        return as_scalar(Fraction(int(num), int(den))) if den else int(num)
     raise ValueError(f"coefficient must be an integer or a \"num/den\" string, not {x!r}")
 
 
@@ -368,7 +372,7 @@ def _generated_images(a: LieAlgebra, gens: list[Vec], dim_c2: int) -> list[Vec] 
         for lead in sorted(index):
             c = v.get(lead)
             if c:
-                v = vec_axpy(v, -c / index[lead][lead], index[lead])
+                v = vec_axpy(v, -div(c, index[lead][lead]), index[lead])
         if not v:
             continue
         index[min(v)] = v

@@ -21,11 +21,13 @@ column and runs both eliminators.  ``rref`` (and so the kernels,
 ``Subspace.span`` and ``quotient_representatives``) runs on Python ints
 when every entry is a Fraction or an int (``_rref_integer``), which saves
 building a Fraction at every step; the RREF of a row space is unique, so
-its output is the one the field eliminator would give.  Its row operation,
+its output is the one the field eliminator would give, with an int for
+every integral entry and a Fraction for the others.  Its row operation,
 ``clear_integer``, is also the column update of the persistence pairing in
 ``spectral``.  ``_echelon_rows`` runs only its forward pass, for
 ``pivot_columns`` and the tagged kernels.  The field eliminator
-``_eliminate`` works over Fraction or RatFunc and serves RatFunc rows,
+``_eliminate`` works over any scalars (``scalars.div`` inverts its pivots)
+and serves RatFunc rows,
 ``SpanSolver`` (whose tag coefficients depend on the pivot rows chosen
 when the generators are dependent) and ``rank_drop_candidates``.
 
@@ -45,11 +47,11 @@ from functools import cached_property
 from heapq import heappop, heappush
 from math import gcd, lcm, prod
 
-from .scalars import (Poly, RatFunc, as_scalar, pivot_complexity,
+from .scalars import (Poly, RatFunc, as_scalar, div, pivot_complexity,
                       rational_roots)
 
 Vec = dict  # {col: scalar}, zero entries never stored
-_ONE = Fraction(1)  # shared: Fractions are immutable
+_ONE = 1
 _RATIONAL = (int, Fraction)
 
 
@@ -193,7 +195,7 @@ def _eliminate(rows: list[Vec], tags: list[Vec]):
         row = work[i]
         divisors.append(row[col])
         if row[col] != 1:
-            inv = 1 / row[col]
+            inv = div(1, row[col])
             work[i], wtags[i] = vec_scale(row, inv), vec_scale(wtags[i], inv)
         work[i][col] = _ONE
 
@@ -276,14 +278,14 @@ def _rref_integer(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     denominators and divided by the gcd of its entries, and each pivot
     column is removed by ``clear_integer``.  The pivot of a bucket is the
     lead of least magnitude.  Each row is divided by its lead only at the
-    end, one Fraction per output entry.
+    end: an entry the lead divides becomes an int, any other a Fraction.
     """
     order, work = _echelon_integer(rows, True)
     out = []
     for col, i in order:
         lead = work[i][col]
-        out.append({k: Fraction(v, lead) for k, v in work[i].items()})
-        out[-1][col] = _ONE
+        out.append({k: Fraction(v, lead) if v % lead else v // lead
+                    for k, v in work[i].items()})
     return [col for col, _ in order], out
 
 
@@ -317,8 +319,9 @@ def rref(rows: list[Vec]) -> tuple[list[int], list[Vec]]:
     are normalized to leading coefficient 1 and fully reduced both above and
     below, so the output is the canonical basis of the row space.  Rows
     whose entries are all Fractions or ints are eliminated over the
-    integers (``_rref_integer``) and come out with Fraction entries; other
-    rows (RatFunc) are eliminated over their field (``_eliminate``).  The
+    integers (``_rref_integer``) and come out with an int for each integral
+    entry and a Fraction for the others; other rows (RatFunc) are
+    eliminated over their field (``_eliminate``).  The
     reduced row echelon form of a row space is unique, so neither the route
     nor the choice of pivot rows shows in the result.
     """
@@ -495,9 +498,9 @@ def pfaffian(n: int, entries: dict):
         for k in (ri.keys() | rj.keys()) - {i, j}:
             # columns i and j of row k cancel exactly
             if k in rj:
-                vec_axpy_into(rows[k], rj[k] / p, ri)
+                vec_axpy_into(rows[k], div(rj[k], p), ri)
             if k in ri:
-                vec_axpy_into(rows[k], -ri[k] / p, rj)
+                vec_axpy_into(rows[k], -div(ri[k], p), rj)
     return pf
 
 

@@ -3,15 +3,25 @@
 Everything in this package is computed over fields of characteristic zero
 with no rounding:
 
-* plain rationals -- ``fractions.Fraction`` (arbitrary precision, always in
-  lowest terms, positive denominator);
+* plain rationals -- a Python ``int`` when the value is integral, a
+  ``fractions.Fraction`` (arbitrary precision, lowest terms, positive
+  denominator) otherwise;
 * univariate rational functions Q(t) -- :class:`RatFunc`, used when a whole
   one-parameter family of algebras is processed symbolically;
 * multivariate polynomials over Q -- :class:`MPoly`, used only to certify
   that a non-vanishing polynomial identity holds (no division needed).
 
-A "scalar" below means either a Fraction or a RatFunc; the linear algebra in
-:mod:`filiform.linalg` is generic over both.
+A "scalar" below means an int, a Fraction or a RatFunc; the linear algebra
+in :mod:`filiform.linalg` is generic over all three.  ``as_scalar`` is the
+one coercion: it returns an int for an integral rational, so integer
+structure constants (those of m0, m1, m2 and V_n) keep every product and sum
+on machine-word ints, and ``format_rat`` prints either kind the same way
+(an int has a numerator and a denominator too).  ``Fraction(2) == 2`` and
+their hashes agree, so a dict or set never tells the two apart.  The one
+rule: no scalar is divided with ``/``, since two ints give a float; every
+quotient is ``div``, which keeps two ints an int when the division is exact
+and makes a Fraction otherwise.  ``rat`` stays Fraction-valued, for
+parameters and the internals of RatFunc.
 
 A RatFunc is c * N / D: c a Fraction, N and D primitive polynomials over Z
 (:class:`Poly`, integer coefficients with gcd 1) with positive leading
@@ -57,7 +67,7 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def format_rat(x: Fraction) -> str:
+def format_rat(x: int | Fraction) -> str:
     num = _digits(x.numerator)
     return f"{num}/{_digits(x.denominator)}" if x.denominator != 1 else num
 
@@ -72,10 +82,28 @@ def _digits(m: int) -> str:
 
 
 def as_scalar(x):
-    """Coerce to a field scalar, keeping RatFunc values as they are."""
-    if isinstance(x, RatFunc):
+    """Coerce to a field scalar: an int for an integral rational, a Fraction
+    for any other, and a RatFunc as it is.  A bool is read as the int it
+    equals."""
+    kind = type(x)
+    if kind is int or kind is RatFunc:
         return x
-    return rat(x)
+    if kind is not Fraction:
+        x = rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def div(a, b):
+    """The exact quotient a / b of two scalars.
+
+    Two ints give an int when b divides a and a Fraction otherwise; any
+    other pair divides as its types do (``/`` on an int pair would give a
+    float).
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +527,8 @@ def _as_ratfunc(x) -> RatFunc:
 
 
 def scalar_at(x, t: Fraction):
-    """Evaluate a scalar at a parameter value (Fractions pass through)."""
+    """Evaluate a scalar at a parameter value (ints and Fractions pass
+    through)."""
     if isinstance(x, RatFunc):
         return x.eval(t)
     return x
@@ -508,9 +537,12 @@ def scalar_at(x, t: Fraction):
 def pivot_complexity(x) -> int:
     """Smaller is better when choosing elimination pivots.
 
-    Fractions: total bit length; rational functions: total degree.  Purely a
-    coefficient-growth heuristic, correctness never depends on it.
+    Rationals: total bit length of numerator and denominator, so an int
+    scores as the Fraction it equals; rational functions: total degree.
+    Purely a coefficient-growth heuristic, correctness never depends on it.
     """
+    if type(x) is int:
+        return x.bit_length() + 1
     if isinstance(x, Fraction):
         return x.numerator.bit_length() + x.denominator.bit_length()
     if isinstance(x, RatFunc):

@@ -228,7 +228,7 @@ def contact_exists(a: LieAlgebra) -> ContactCertificate | None:
     if a.dim % 2 == 0:
         raise EvenDimension("contact structures need odd dimension")
     n = a.dim
-    pencil = [{**d_monomial(a, (i,)), (i, n + 1): Fraction(1)}
+    pencil = [{**d_monomial(a, (i,)), (i, n + 1): 1}
               for i in range(1, n + 1)]
     point = nondegenerate_point(n + 1, pencil)
     if point is None:

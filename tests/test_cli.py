@@ -215,6 +215,27 @@ def test_commands_ask_the_one_survival_entry(tmp_path, capsys, monkeypatch,
     assert len(seen) == calls
 
 
+def test_obstruction_witness_is_built_when_read(tmp_path, capsys, monkeypatch):
+    # symplectic reads only graded_symplectic, so past a non-symplectic E_1
+    # corner it reduces no pairing; spectral reads the witness, and g8(-1)
+    # is graded, so no differential leaves the corner
+    from filiform import spectral
+    reduced = []
+    pairing = spectral._PageComputer.pairing
+
+    def counted(comp, p):
+        reduced.append(p)
+        return pairing(comp, p)
+
+    monkeypatch.setattr(spectral._PageComputer, "pairing", counted)
+    path = write_algebra(tmp_path, "g8", alpha=-1)
+    code, doc = run(capsys, "symplectic", path)
+    assert (code, doc["result"]) == (0, {"exists": False, "reason": "GrLNotSymplectic"})
+    assert reduced == []
+    code, doc = run(capsys, "spectral", path)
+    assert code == 0 and doc["result"]["symplectic_survival"] == {"survives": False}
+
+
 # what a change of basis keeps, per command, of a command's result
 _INVARIANT_FIELDS = [
     (["symplectic"], lambda r: (r["exists"], r.get("reason"))),

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filiform import catalog
-from filiform.cochain import (Form, WeightsMissing, _merge_sign, betti_numbers,
-                              coboundary_space, cohomology, d_monomial, differential,
-                              lambda_basis, monomials_by_weight)
+from filiform.cochain import (Form, NotAComplex, WeightsMissing, _merge_sign,
+                              betti_numbers, coboundary_space, cohomology, d_monomial,
+                              differential, lambda_basis, monomials_by_weight)
 from filiform.lie import LieAlgebra, abelian, jacobi_check
 from filiform.linalg import Subspace, vec_axpy_into, vec_combination
 
@@ -248,6 +248,14 @@ def test_jacobi_check_matches_triples_and_d_squared(name, params):
     a = catalog.family_symbolic(name) if params is None else catalog.build(name, **params)
     assert_jacobi_matches_references(a)
     assert (jacobi_check(a) == []) == (params is None or "variant" not in params)
+
+
+def test_cohomology_refuses_a_table_with_d_squared_nonzero():
+    a = catalog.build("m03", n=9, variant="section5")
+    i, j, k, _ = jacobi_check(a)[0]
+    for weight in (None, 9):
+        with pytest.raises(NotAComplex, match=rf"fails at \({i},{j},{k}\)"):
+            cohomology(a, 2, weight)
 
 
 def test_jacobi_check_matches_references_on_a_broken_table():

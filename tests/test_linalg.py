@@ -241,8 +241,10 @@ def test_integer_rref_matches_sympy_and_field_eliminator(drawn):
     expected = sympy_rref(rows, cols)
     pivots, out = rref(rows)
     assert (pivots, out) == expected
-    assert all(type(v) is Fraction for r in out for v in r.values())
-    # the field eliminator divides by the leads, so it takes Fractions
+    # an integral entry is an int, any other a Fraction
+    assert all(type(v) is (int if v.denominator == 1 else Fraction)
+               for r in out for v in r.values())
+    # the field eliminator agrees on the same rows as Fractions
     as_fractions = [{c: Fraction(v) for c, v in r.items()} for r in rows]
     assert (pivots, out) == tuple(_eliminate(as_fractions, [{}] * len(rows))[:2])
 

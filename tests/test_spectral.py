@@ -142,13 +142,15 @@ def reference_pairing(comp, p):
     """The persistence pairing by the field update on Fraction or Q(alpha)
     columns, with no clearing and no duality: {paired monomial: gap}."""
     from filiform.linalg import vec_axpy_into
-    from filiform.scalars import as_scalar
+    from filiform.scalars import RatFunc
     gaps = {}
     rows, row_weights = comp.bases[p + 1], comp.weights[p + 1]
     pos = {idx: i for i, idx in enumerate(rows)}
     by_low = {}
     for idx, w in zip(comp.bases[p], comp.weights[p]):
-        col = {pos[m]: as_scalar(c) for m, c in comp.d_of(idx).items()}
+        # Fractions, so that the update's division is exact
+        col = {pos[m]: c if isinstance(c, RatFunc) else Fraction(c)
+               for m, c in comp.d_of(idx).items()}
         while col:
             low = max(col)
             other = by_low.get(low)

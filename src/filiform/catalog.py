@@ -250,6 +250,8 @@ def build_abelian_commutant(n: int, t: int, alphas=()) -> LieAlgebra:
 
 def build_deformation_21(n: int, alphas=()) -> LieAlgebra:
     """The worked deformation fixture (21): abelian_commutant(n, n - 7)."""
+    if n < 7:
+        raise GuardViolated("deformation_21 needs n >= 7")
     return build_abelian_commutant(n, n - 7, alphas)
 
 

@@ -7,15 +7,21 @@ catalog.  Algebras travel in the interchange JSON format
 [[[i1..ip], "num/den"], ...].
 
 Exit codes: 0 = verdict computed (a negative verdict is still a verdict),
-1 = input error, or a stdout the reader closed (quietly, with no traceback),
-2 = internal invariant violation.  All JSON output is
+1 = input error, a usage error, or a stdout the reader closed (quietly, with
+no traceback), 2 = internal invariant violation.  All JSON output is
 canonical (sorted keys), so identical inputs produce identical bytes.
 A dimension above MAX_DIM is an input error (exterior powers grow fast).
+
+One parser (``build_parser``, built once per process) reads every command
+line, and ``main`` is the one error boundary: an ``InputError``, or a
+``ValueError`` or ``RuntimeError`` from the library, prints ``error: <message>``
+and exits 1; an ``AssertionError`` exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -66,17 +72,13 @@ def _load_algebra(path: str, check: bool = True) -> tuple[LieAlgebra, str]:
         i, j, k, _ = bad[0]
         raise InputError(f"cannot read algebra from {path}: Jacobi identity fails "
                          f"(d^2 != 0) at (i, j, k) = ({i}, {j}, {k})")
-    ungraded = _grading_violations(algebra) if check else []
+    ungraded = grading_violations(algebra) if check else []
     if ungraded:
         i, j, k = ungraded[0]
         raise InputError(f"cannot read algebra from {path}: weights break the "
                          f"grading at (i, j, k) = ({i}, {j}, {k})")
     digest = hashlib.sha256(raw.encode()).hexdigest()[:16]
     return algebra, digest
-
-
-def _grading_violations(a: LieAlgebra) -> list:
-    return grading_violations(a) if a.weights is not None else []
 
 
 def _emit(report: dict, human: str | None = None) -> None:
@@ -101,7 +103,7 @@ def _obstruction(verdict) -> dict:
 def cmd_check(args) -> int:
     a, digest = _load_algebra(args.algebra, check=False)
     bad = jacobi_check(a)
-    ungraded = _grading_violations(a)
+    ungraded = grading_violations(a)
     series = central_series(a)
     graded_1n = (a.weights is not None and not ungraded
                  and sorted(a.weights) == list(range(1, a.dim + 1)))
@@ -125,10 +127,7 @@ def cmd_check(args) -> int:
 
 def cmd_cohomology(args) -> int:
     a, digest = _load_algebra(args.algebra)
-    try:
-        block = cohomology(a, args.degree, args.weight)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    block = cohomology(a, args.degree, args.weight)
     report = {
         "command": "cohomology",
         "input": digest,
@@ -144,10 +143,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        classes = enumerate_graded_filiform(_bounded_dim(args.dim))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    classes = enumerate_graded_filiform(_bounded_dim(args.dim))
     rows = []
     for cls in classes:
         rows.append({
@@ -174,10 +170,7 @@ def cmd_classify(args) -> int:
 
 def cmd_symplectic(args) -> int:
     a, digest = _load_algebra(args.algebra)
-    try:
-        cert = symplectic_exists(a)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc)) from exc
+    cert = symplectic_exists(a)
     result = {"exists": cert.exists}
     if cert.exists:
         result["form"] = cert.form.to_pairs()
@@ -192,10 +185,7 @@ def cmd_symplectic(args) -> int:
 
 def cmd_contact(args) -> int:
     a, digest = _load_algebra(args.algebra)
-    try:
-        cert = contact_exists(a)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc)) from exc
+    cert = contact_exists(a)
     result = {"exists": cert is not None}
     if cert is not None:
         result["form"] = cert.form.to_pairs()
@@ -208,11 +198,8 @@ def cmd_contact(args) -> int:
 
 def cmd_spectral(args) -> int:
     a, digest = _load_algebra(args.algebra)
-    try:
-        pages = page_dimensions(a)
-        verdict = None if a.dim % 2 else symplectic_survival(a)
-    except (ValueError, RuntimeError) as exc:
-        raise InputError(str(exc)) from exc
+    pages = page_dimensions(a)
+    verdict = None if a.dim % 2 else symplectic_survival(a)
     tables = []
     for r, dims in enumerate(pages, start=1):
         tables.append({
@@ -259,7 +246,7 @@ def cmd_catalog(args) -> int:
             if required and p not in params:
                 raise InputError(f"{args.name} needs {_CATALOG_FLAGS[p]}")
         a = catalog.build(args.name, **params)
-    except (ValueError, KeyError, TypeError) as exc:  # GuardViolated included
+    except (KeyError, TypeError) as exc:  # a ValueError reaches main as it is
         raise InputError(str(exc)) from exc
     except ZeroDivisionError as exc:
         raise InputError(f"zero denominator, {exc}") from exc
@@ -307,14 +294,21 @@ _COMMANDS = {
 }
 
 
-def _parser(names) -> argparse.ArgumentParser:
-    """The command-line parser with the subcommands in names."""
-    ap = argparse.ArgumentParser(
-        prog="filiform",
-        description="exact computations on nilpotent/filiform Lie algebras")
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, an input error like any other."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once and reused by every ``main``."""
+    ap = _Parser(prog="filiform",
+                 description="exact computations on nilpotent/filiform Lie algebras")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name in names:
-        fn, help_text, arguments = _COMMANDS[name]
+    for name, (fn, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for arg, kwargs in arguments:
             p.add_argument(arg, **kwargs)
@@ -322,27 +316,8 @@ def _parser(names) -> argparse.ArgumentParser:
     return ap
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv with only the parser of the subcommand it names.
-
-    A subcommand's parser, its help and its errors do not depend on the
-    other subcommands.  The full parser's own messages do (its usage lists
-    every subcommand), so it parses -h, no arguments, an unknown command
-    and arguments that the subcommand leaves over.
-    """
-    if argv and argv[0] in _COMMANDS:
-        args, rest = _parser(argv[:1]).parse_known_args(argv)
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -354,7 +329,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except InputError as exc:
+    except (InputError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

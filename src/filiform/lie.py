@@ -322,6 +322,8 @@ def _document_rat(x) -> int | Fraction:
 
 
 def abelian(n: int) -> LieAlgebra:
+    if n < 1:
+        raise ValueError("abelian(n) needs n >= 1")
     return LieAlgebra(n, {}, weights=[1] * n)
 
 
@@ -336,10 +338,11 @@ def jacobi_check(a: LieAlgebra) -> list[tuple[int, int, int, Vec]]:
 
 
 def grading_violations(a: LieAlgebra) -> list[tuple[int, int, int]]:
-    """Structure terms breaking weight(k) == weight(i) + weight(j)."""
-    if a.weights is None:
-        raise ValueError("algebra carries no weights")
+    """Structure terms breaking weight(k) == weight(i) + weight(j); none
+    when the algebra carries no weights, since it has no grading to break."""
     w = a.weights
+    if w is None:
+        return []
     return [(i, j, k) for i, j, k, _ in a.structure_terms()
             if w[k - 1] != w[i - 1] + w[j - 1]]
 

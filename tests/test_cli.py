@@ -297,6 +297,9 @@ def test_catalog_guard_is_input_error(capsys):
     (["--name", "m0", "--dim", "65"], "exceeds the bound"),
     (["--name", "V", "--dim", "5", "--alpha", "2"], "V takes no --alpha"),
     (["--name", "heisenberg"], "heisenberg needs --dim"),
+    (["--name", "abelian", "--dim", "0"], "abelian(n) needs n >= 1"),
+    (["--name", "abelian", "--dim", "-3"], "abelian(n) needs n >= 1"),
+    (["--name", "deformation_21", "--dim", "6"], "deformation_21 needs n >= 7"),
 ])
 def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
     code = main(["catalog", *argv])
@@ -615,17 +618,37 @@ def _grid_exhausted(a):
     raise RuntimeError("bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
 
 
+def _library_fails(exc_type):
+    def fail(*args):
+        raise exc_type("the library gives up")
+    fail.__name__ = exc_type.__name__
+    return fail
+
+
+# command -> the library entry it calls through filiform.cli
+_LIBRARY_ENTRIES = {"check": "central_series", "cohomology": "cohomology",
+                    "classify-graded": "enumerate_graded_filiform",
+                    "symplectic": "symplectic_exists", "contact": "contact_exists",
+                    "spectral": "page_dimensions"}
+
+
 @pytest.mark.parametrize("command, target, fail, reason", [
     ("symplectic", "symplectic_exists", _grid_exhausted, "FILIFORM_MAX_GRID"),
+    *((command, target, _library_fails(exc), "the library gives up")
+      for command, target in _LIBRARY_ENTRIES.items()
+      for exc in (ValueError, RuntimeError)),
 ])
 def test_undecided_search_is_input_error(tmp_path, capsys, monkeypatch,
                                          command, target, fail, reason):
-    import filiform.cli
-    monkeypatch.setattr(filiform.cli, target, fail)
+    # main is the one boundary that turns a library ValueError or
+    # RuntimeError into an input error
+    monkeypatch.setattr(cli, target, fail)
     path = write_algebra(tmp_path, "m0", n=6)
-    code = main([command, path])
+    args = {"classify-graded": ["--dim", "7"],
+            "cohomology": [path, "--degree", "2"]}.get(command, [path])
+    code = main([command, *args])
     captured = capsys.readouterr()
-    assert code == 1
+    assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and reason in captured.err
     assert "Traceback" not in captured.out + captured.err
 
@@ -702,8 +725,15 @@ def _parse_outcome(parse, argv, capsys):
     ["cohomology", "a.json", "--degree", "3", "--weight", "7"],
     ["-h"], [], ["bogus"]])
 def test_one_subcommand_parser_matches_the_full_parser(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
-    full = _parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-    assert _parse_outcome(cli._parse, argv, capsys) == full
-    if full[0] is not None:
-        assert full[2] or full[1]  # help on stdout or usage error on stderr
+    # the one parser, built once and reused by every main, parses as a fresh
+    # one does; help text wraps at the width read when it is formatted
+    assert cli.build_parser() is cli.build_parser()
+    for columns in ("80", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = _parse_outcome(cli.build_parser.__wrapped__().parse_args, argv, capsys)
+        for _ in range(2):
+            assert _parse_outcome(cli.build_parser().parse_args, argv, capsys) == fresh
+        if fresh[0] is not None:
+            assert fresh[2] or fresh[1]  # help on stdout or usage error on stderr
+            # help exits 0; a usage error is an input error, as the README says
+            assert fresh[0] == (0 if {"-h", "--help"} & set(argv) else 1), argv

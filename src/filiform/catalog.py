@@ -25,9 +25,8 @@ class GuardViolated(ValueError):
     pass
 
 
-def _chain(n: int, upto: int | None = None) -> dict:
-    upto = n - 1 if upto is None else upto
-    return {(1, i): {i + 1: 1} for i in range(2, upto + 1)}
+def _chain(n: int) -> dict:
+    return {(1, i): {i + 1: 1} for i in range(2, n)}
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ exact scalars.  The differential follows the convention
 
 the dual of the bracket extended as a derivation.  d^2 = 0 is the Jacobi
 identity (the coefficient of d(d e^m) on e^i ^ e^j ^ e^k is the e_m-part of
-the defect of (i, j, k)), decided once per algebra by ``lie.jacobi_check``;
-every complex built here presumes it, and :func:`cohomology` refuses a
-table with a defect (``NotAComplex``).  :func:`d_monomial` is the one Leibniz
-expansion of d: it reads the table of d e^k that the algebra holds
-(``dual_table``) and returns d of a single monomial as a sparse vector;
-:func:`differential`, :func:`d_matrix`, the coboundaries and the spectral
-pages are its linear extensions.
+the defect of (i, j, k)), read once per algebra off the cached
+``LieAlgebra.jacobi_defects``; every complex built here presumes it, and
+:func:`cohomology` refuses a table with a defect (``NotAComplex``).
+:func:`d_monomial` is the one Leibniz expansion of d: it reads the table
+of d e^k that the algebra holds (``dual_table``) and returns d of a single
+monomial as a sparse vector; :func:`differential`, :func:`d_matrix`, the
+coboundaries and the spectral pages are its linear extensions.
 
 On a graded algebra every monomial carries the weight
 w(i_1) + ... + w(i_p) and d preserves it, so cohomology splits into weight
@@ -33,8 +33,8 @@ ones (see ``_block``).
 
 :func:`nondegenerate_point` asks whether a pencil of 2-forms has a
 nondegenerate member: witness points are each decided by a Pfaffian, then
-the top coefficient of the pencil's top power is expanded once over
-multivariate rationals, in at most FILIFORM_MAX_GRID terms.
+the pencil at a symbolic point is raised to its top power by the wedge of
+``Form``, over ``MPoly`` coefficients, in at most FILIFORM_MAX_GRID terms.
 """
 
 from __future__ import annotations
@@ -78,6 +78,26 @@ def _merge_sign(seq) -> tuple[tuple, int] | None:
         if j > 0 and items[j - 1] == items[j]:
             return None
     return tuple(items), sign
+
+
+def _wedge(a: dict, b: dict) -> dict:
+    """The wedge of two forms' coefficient maps, zero entries dropped.  The
+    scalars need only +, - and *, so MPoly coefficients work too."""
+    out: dict[tuple, object] = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            merged = _merge_sign(i1 + i2)
+            if merged is None:
+                continue
+            idx, sign = merged
+            term = c1 * c2 if sign > 0 else -(c1 * c2)
+            s = out.get(idx)
+            s = term if s is None else s + term
+            if s:
+                out[idx] = s
+            else:
+                out.pop(idx, None)
+    return out
 
 
 class Form:
@@ -130,19 +150,7 @@ class Form:
         return Form(self.degree, vec_scale(self.coeffs, as_scalar(c)))
 
     def wedge(self, other: "Form") -> "Form":
-        out: dict[tuple, object] = {}
-        for i1, c1 in self.coeffs.items():
-            for i2, c2 in other.coeffs.items():
-                merged = _merge_sign(i1 + i2)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                s = out.get(idx, 0) + sign * c1 * c2
-                if s:
-                    out[idx] = s
-                else:
-                    out.pop(idx, None)
-        return Form(self.degree + other.degree, out)
+        return Form(self.degree + other.degree, _wedge(self.coeffs, other.coeffs))
 
     def to_pairs(self) -> list:
         return [[list(idx), format_rat(c)] for idx, c in sorted(self.coeffs.items())]
@@ -191,53 +199,27 @@ def nondegenerate_point(n: int, vecs: list) -> tuple | None:
     vecs are the coefficients {(i, j): c} of 2-forms on n = 2k coordinates.
     The witness points are tried first, each decided by one Pfaffian; if
     none hits, the top coefficient P(t) of (sum t_i phi_i)^k is expanded
-    exactly, so a None answer certifies that P is the zero polynomial and no
-    member of the pencil is nondegenerate over any field extension of Q.
+    exactly at a symbolic t, so a None answer certifies that P is the zero
+    polynomial and no member of the pencil is nondegenerate over any field
+    extension of Q.  The expansion holds at most FILIFORM_MAX_GRID terms.
     """
     m = len(vecs)
     for point in _witness_points(m):
         if pfaffian(n, vec_combination(point, vecs)):
             return point
-    acc: dict[tuple, MPoly] = {}
-    for i, vec in enumerate(vecs):
-        ti = MPoly.var(m, i)
-        for idx, c in vec.items():
-            acc[idx] = acc.get(idx, MPoly.const(m, 0)) + ti * MPoly.const(m, c)
-    top = _poly_wedge_power(acc, n // 2).get(tuple(range(1, n + 1)))
+    pencil = vec_combination([MPoly.var(m, i) for i in range(m)], vecs)
+    bound = _max_grid()
+    power = {(): MPoly.const(m, 1)}
+    for _ in range(n // 2):
+        power = _wedge(power, pencil)
+        if sum(len(c.terms) for c in power.values()) > bound:
+            raise RuntimeError(
+                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
+    top = power.get(tuple(range(1, n + 1)))
     point = top.any_nonvanishing_point() if top else None
     if point is not None and not pfaffian(n, vec_combination(point, vecs)):
         raise AssertionError("witness failed to verify")
     return point
-
-
-def _poly_wedge_power(coeffs: dict, k: int) -> dict:
-    """k-fold wedge of a form whose coefficients are MPoly values.
-
-    Holds at most FILIFORM_MAX_GRID polynomial terms in all.
-    """
-    if not coeffs:
-        return {}
-    bound = _max_grid()
-    nvars = next(iter(coeffs.values())).nvars
-    power = {(): MPoly.const(nvars, 1)}
-    for _ in range(k):
-        nxt: dict[tuple, MPoly] = {}
-        for i1, c1 in power.items():
-            for i2, c2 in coeffs.items():
-                merged = _merge_sign(i1 + i2)
-                if merged is None:
-                    continue
-                idx, sign = merged
-                term = c1 * c2
-                if sign < 0:
-                    term = -term
-                cur = nxt.get(idx)
-                nxt[idx] = term if cur is None else cur + term
-        power = {idx: c for idx, c in nxt.items() if not c.is_zero()}
-        if sum(len(c.terms) for c in power.values()) > bound:
-            raise RuntimeError(
-                "bounded search exhausted; raise FILIFORM_MAX_GRID to decide")
-    return power
 
 
 # ---------------------------------------------------------------------------

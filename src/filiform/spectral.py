@@ -58,23 +58,25 @@ corner (1-forms weigh <= 2k), so its E_1 block is H^2_{2k+1}(gr_L), read
 as the kernel of the leading part of d.  A class survives to the last page
 iff it is the leading term of a closed 2-form, and such a closed form with
 symplectic leading term is itself symplectic (the top power only sees the
-leading weight).  The first nonzero d_r out of the corner sits on the page
-r* = the smallest gap >= 1 of a corner monomial; the obstruction witness
-builds only the corner block and its target on that page, and only when
-it is read.
+leading weight).  A corner form sum c_i e^i ^ e^{2k+1-i} (the antidiagonal)
+has Pfaffian +-prod c_i, so a space of corner forms holds a symplectic one
+iff it vanishes on no corner monomial; both links read this test.  The
+first nonzero d_r out of the corner sits on the page r* = the smallest gap
+>= 1 of a corner monomial; the obstruction witness builds only the corner
+block and its target on that page, and only when it is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from .cochain import (Form, d_monomial, differential, monomials_by_weight,
                       nondegenerate_point)
 from .lie import LieAlgebra, adapted_basis
 from .linalg import (Matrix, Subspace, all_rational, clear_integer, integer_row,
-                     kernel_of_map, pfaffian, rref, vec_axpy_into,
-                     vec_combination)
+                     kernel_of_map, pfaffian, vec_axpy_into, vec_combination)
 # an explicit re-export: the benchmark harness tests check that its tracer
 # patches this binding and restores it
 from .linalg import kernel_basis as kernel_basis
@@ -356,6 +358,7 @@ def page_dimensions(a: LieAlgebra) -> list[dict]:
 # survival of the symplectic corner
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class SurvivalVerdict:
     """The answer of ``symplectic_survival``.
 
@@ -363,47 +366,45 @@ class SurvivalVerdict:
     coordinates) answer the question; ``graded_symplectic`` says whether
     H^2_{2k+1}(gr_L) has a symplectic class.  The obstruction witness,
     ``obstruction_page``, ``obstruction_source`` and ``obstruction_image``
-    (all None when no differential leaves the corner), is computed on its
-    first read: a caller that stops at the E_1 corner reduces no pairing.
+    (all None when no differential leaves the corner), is ``witness()``,
+    called on first read: a caller that stops at the E_1 corner reduces no
+    pairing.
     """
 
-    def __init__(self, survives: bool, lift: Form | None = None,
-                 graded_symplectic: bool = False, witness=None):
-        self.survives = survives
-        self.lift = lift
-        self.graded_symplectic = graded_symplectic
-        self._witness = witness  # () -> (page, source, image), called once
-        self._found = (None, None, None)
+    survives: bool
+    lift: Form | None = None
+    graded_symplectic: bool = False
+    witness: Callable | None = field(default=None, compare=False, repr=False)
 
+    @cached_property
     def _obstruction(self) -> tuple:
-        if self._witness is not None:
-            self._found, self._witness = self._witness(), None
-        return self._found
+        return self.witness() if self.witness else (None, None, None)
 
     @property
     def obstruction_page(self) -> int | None:
-        return self._obstruction()[0]
+        return self._obstruction[0]
 
     @property
     def obstruction_source(self) -> Form | None:
-        return self._obstruction()[1]
+        return self._obstruction[1]
 
     @property
     def obstruction_image(self) -> Form | None:
-        return self._obstruction()[2]
+        return self._obstruction[2]
 
 
 def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
     """Does a homogeneous symplectic class of weight 2k+1 survive to E_infty?
 
-    No differential maps into the corner block (w = 2k+1, degree 2), so
-    its E_1 block is H^2_{2k+1}(gr_L) (``graded_symplectic`` says whether it
-    holds a symplectic class), and a class survives iff it is the leading
-    term of a closed 2-form; the surviving subspace is searched for a
-    symplectic element only when E_1 holds one.  On failure the first
-    nonzero page differential out of the corner is the obstruction witness
-    (``_corner_obstruction``), built when the verdict's obstruction is
-    first read.
+    The corner block (w = 2k+1, degree 2) receives no differential, so its
+    E_1 block is H^2_{2k+1}(gr_L), and a class survives iff it leads a
+    closed 2-form.  A corner form sum c_i e^i ^ e^{2k+1-i} has Pfaffian
+    +-prod c_i, so a space of them holds a symplectic one iff it vanishes
+    on no corner monomial: ``graded_symplectic`` tests the E_1 classes,
+    ``survives`` the leading parts of the closed forms of weight <= 2k+1,
+    and ``cochain.nondegenerate_point`` only picks the lift's point.  On
+    failure the first nonzero differential out of the corner is the
+    obstruction witness (``_corner_obstruction``), built on first read.
 
     The one survival entry: ``structures.symplectic_exists`` reads
     ``graded_symplectic`` (the gr_L link), then ``survives``; the
@@ -419,15 +420,20 @@ def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
     def leading(vec: dict) -> dict:
         return {idx: c for idx, c in vec.items() if sum(idx) == top}
 
-    # the E_1 corner H^2_{2k+1}(gr_L) in RREF: no 1-form weighs 2k+1
+    def symplectic(pencil: list) -> bool:  # the antidiagonal test
+        return all(any(v.get(idx) for v in pencil) for idx in corner)
+
+    # the E_1 corner H^2_{2k+1}(gr_L): no 1-form weighs 2k+1
     corner = [idx for idx, w in zip(comp.bases[2], comp.weights[2]) if w == top]
-    classes = rref(kernel_of_map(corner, [leading(comp.d_of(idx)) for idx in corner]))[1]
-    graded = bool(classes) and nondegenerate_point(n, classes) is not None
-    if graded:  # the lifts' leading parts lie in the E_1 corner
-        lifts = [v for v in comp.z_vectors(10 * n, top, 2)  # dx in F_{w - huge}: dx = 0
-                 if leading(v)]
-        point = nondegenerate_point(n, [leading(v) for v in lifts]) if lifts else None
-        if point is not None:
+    classes = kernel_of_map(corner, [leading(comp.d_of(idx)) for idx in corner])
+    graded = symplectic(classes)
+    if graded:  # the closed forms of weight <= 2k+1: dx in F_{w - huge} is dx = 0
+        lifts = [v for v in comp.z_vectors(10 * n, top, 2) if leading(v)]
+        heads = [leading(v) for v in lifts]
+        if symplectic(heads):
+            point = nondegenerate_point(n, heads)
+            if point is None:
+                raise AssertionError("symplectic corner pencil without a point")
             lift = Form(2, vec_combination(point, lifts))
             if differential(b, lift) or not pfaffian(n, lift.coeffs):
                 raise AssertionError("survival lift failed to verify")

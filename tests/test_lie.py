@@ -375,6 +375,21 @@ def test_adapted_basis_skips_an_e1_without_a_full_chain():
     assert ab.alpha == 0
 
 
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_adapted_basis_reaches_a_pair_sum(n):
+    # in the basis [e2, e1 + e2, e3, ..., en] of m1(n), the first vector spans
+    # L^2 mod C^2 (ad chain of length 1) and the second the centralizer of
+    # C^{n-2} (length n - 3): both singles fall short of n - 2, so e_1 is
+    # the first pair sum of the sweep
+    from filiform.structures import symplectic_exists
+    a = catalog.build("m1", n=n)
+    b = change_basis(a, [{2: 1}, {1: 1, 2: 1}] + [{i: 1} for i in range(3, n + 1)])
+    assert [b.ad_chain_length({i: 1}) for i in (1, 2)] == [1, n - 3]
+    assert adapted_basis(b).vectors[0] == {1: 1, 2: 1}
+    assert adapted_basis(b).alpha
+    assert symplectic_exists(b).reason == "GrCNotM0"
+
+
 def test_change_basis_rejects_a_singular_basis():
     a = catalog.build("heisenberg", n=3)
     with pytest.raises(ValueError, match="singular"):

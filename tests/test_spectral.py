@@ -464,13 +464,25 @@ CORNER_CASES = [c for c in PAIRING_CASES if c[1].dim % 2 == 0] + [
 
 @pytest.mark.parametrize("label, a", CORNER_CASES, ids=[c[0] for c in CORNER_CASES])
 def test_graded_symplectic_is_the_class_of_gr_l(label, a):
-    # the E_1 corner read by the survival test against H^2_{2k+1}(gr_L)
-    from filiform.cochain import nondegenerate_point
-    reps = cohomology(gr_l(a), 2, weight=a.dim + 1).representatives
-    expected = nondegenerate_point(a.dim, [f.coeffs for f in reps]) is not None
-    assert symplectic_survival(a).graded_symplectic == expected
+    # the antidiagonal test of the survival verdict against the pencil
+    # search: on H^2_{2k+1}(gr_L) for the E_1 corner, and on the leading
+    # parts of the closed forms of weight <= 2k+1 for survival
+    from filiform.cochain import d_monomial, nondegenerate_point
+    from filiform.linalg import kernel_of_map
+    n, top = a.dim, a.dim + 1
+    verdict = symplectic_survival(a)
+    reps = cohomology(gr_l(a), 2, weight=top).representatives
+    expected = nondegenerate_point(n, [f.coeffs for f in reps]) is not None
+    assert verdict.graded_symplectic == expected
     # graded m2(8) has no symplectic class; the other cases have one
     assert expected == (label != "graded m2(8)")
+    b = adapted_basis(a).filtered_algebra()
+    src = [idx for idx in lambda_basis(n, 2) if sum(idx) <= top]
+    closed = kernel_of_map(src, [d_monomial(b, idx) for idx in src])
+    heads = [h for h in ({idx: c for idx, c in v.items() if sum(idx) == top}
+                         for v in closed) if h]
+    survives = bool(heads) and nondegenerate_point(n, heads) is not None
+    assert verdict.survives == survives
 
 
 def test_filtration_undefined_for_m1():

@@ -173,11 +173,13 @@ def test_t0_deformations_have_no_symplectic_structure():
 ])
 def test_grl_not_symplectic_is_decided_on_the_e1_corner(monkeypatch, family, alpha):
     # past a non-symplectic corner no closed lift and no obstruction block
-    # is built: a graded algebra has no corner pairing gap >= 1
+    # is built: a graded algebra has no corner pairing gap >= 1; the corner
+    # is read off its antidiagonal, so no top power is expanded
     def unreachable(*args):
         raise AssertionError("survival witness built past the E_1 corner")
 
     monkeypatch.setattr(spectral._PageComputer, "z_vectors", unreachable)
+    monkeypatch.setattr("filiform.cochain._max_grid", _expansion_unreachable)
     a = catalog.build(family, alpha=Fraction(alpha))
     verdict = spectral.symplectic_survival(a)
     assert verdict.graded_symplectic is False
@@ -185,15 +187,22 @@ def test_grl_not_symplectic_is_decided_on_the_e1_corner(monkeypatch, family, alp
     assert symplectic_exists(a).reason == "GrLNotSymplectic"
 
 
-def test_deformation_23_spectral_obstruction():
-    a = catalog.build("deformation_23", alphas=(0, 0, 0))
-    cert = symplectic_exists(a)
-    assert not cert.exists
-    assert cert.reason == "SpectralObstruction"
-    v = cert.witness
-    assert v.obstruction_page == 2
-    assert v.obstruction_image == F(3, [[[2, 3, 4], "-2"]]).scale(
-        next(iter(v.obstruction_image.coeffs.values())) / Fraction(-2))
+def _expansion_unreachable():
+    raise AssertionError("a structured verdict expanded the top power")
+
+
+def test_deformation_23_spectral_obstruction(monkeypatch):
+    # the lifts' leading parts are read off the antidiagonal, so no top
+    # power is expanded
+    monkeypatch.setattr("filiform.cochain._max_grid", _expansion_unreachable)
+    for alphas in ((0, 0, 0), (1, 2, 3)):
+        cert = symplectic_exists(catalog.build("deformation_23", alphas=alphas))
+        assert not cert.exists
+        assert cert.reason == "SpectralObstruction"
+        v = cert.witness
+        assert v.obstruction_page == 2
+        assert v.obstruction_image == F(3, [[[2, 3, 4], "-2"]]).scale(
+            next(iter(v.obstruction_image.coeffs.values())) / Fraction(-2))
 
 
 def test_normal_form_deformations_admit_symplectic_structures():

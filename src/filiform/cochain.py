@@ -32,9 +32,9 @@ form a complement of B in the cocycles, and they are exactly the reduced
 ones (see ``_block``).
 
 :func:`nondegenerate_point` asks whether a pencil of 2-forms has a
-nondegenerate member: witness points are each decided by a Pfaffian, then
-the pencil at a symbolic point is raised to its top power by the wedge of
-``Form``, over ``MPoly`` coefficients, in at most FILIFORM_MAX_GRID terms.
+nondegenerate member: :func:`witness_point` tries four points, each by a
+Pfaffian, then the pencil at a symbolic point is raised to its top power
+by the wedge of ``Form`` over ``MPoly``, in at most FILIFORM_MAX_GRID terms.
 """
 
 from __future__ import annotations
@@ -193,20 +193,26 @@ def _witness_points(m: int):
     yield tuple((-2) ** (i % 3 + 1) for i in range(m))
 
 
+def witness_point(n: int, vecs: list) -> tuple | None:
+    """The first witness point t with Pf(sum t_i vecs_i) != 0, or None."""
+    return next((point for point in _witness_points(len(vecs))
+                 if pfaffian(n, vec_combination(point, vecs))), None)
+
+
 def nondegenerate_point(n: int, vecs: list) -> tuple | None:
     """A point t with Pf(sum t_i vecs_i) != 0, or None if there is none.
 
     vecs are the coefficients {(i, j): c} of 2-forms on n = 2k coordinates.
-    The witness points are tried first, each decided by one Pfaffian; if
-    none hits, the top coefficient P(t) of (sum t_i phi_i)^k is expanded
-    exactly at a symbolic t, so a None answer certifies that P is the zero
-    polynomial and no member of the pencil is nondegenerate over any field
-    extension of Q.  The expansion holds at most FILIFORM_MAX_GRID terms.
+    The witness points are tried first (``witness_point``); if none hits,
+    the top coefficient P(t) of (sum t_i phi_i)^k is expanded exactly at a
+    symbolic t, so a None answer certifies that P is the zero polynomial
+    and no member of the pencil is nondegenerate over any field extension
+    of Q.  The expansion holds at most FILIFORM_MAX_GRID terms.
     """
+    point = witness_point(n, vecs)
+    if point is not None:
+        return point
     m = len(vecs)
-    for point in _witness_points(m):
-        if pfaffian(n, vec_combination(point, vecs)):
-            return point
     pencil = vec_combination([MPoly.var(m, i) for i in range(m)], vecs)
     bound = _max_grid()
     power = {(): MPoly.const(m, 1)}

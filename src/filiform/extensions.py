@@ -31,15 +31,11 @@ from fractions import Fraction
 from . import catalog
 from .cochain import (Form, NotCocycle, cohomology, d_matrix, differential,
                       lambda_basis)
-from .lie import LieAlgebra, center, is_filiform
+from .lie import LieAlgebra, is_filiform
 from .linalg import kernel_and_rank_drops, rref
 from .scalars import RatFunc, as_scalar, div, rational_roots
 
 log = logging.getLogger(__name__)
-
-
-class CenterNotOneDimensional(ValueError):
-    pass
 
 
 class NotGradedFiliform(ValueError):
@@ -82,15 +78,12 @@ def central_extension(x: ExtensionCocycle) -> LieAlgebra:
 def is_filiform_extension(x: ExtensionCocycle) -> bool:
     """Whether the extension of a filiform base is filiform again.
 
-    Criterion: c(. , xi) is a nonzero functional, where xi spans the (one
-    dimensional) center of the base.
+    Criterion: c(. , xi) is a nonzero functional, where xi spans the
+    centre of the base, the last nonzero term C^{n-1} of its central series.
     """
-    z = center(x.base)
-    if z.dim != 1:
-        raise CenterNotOneDimensional(f"center has dimension {z.dim}")
     if not is_filiform(x.base):
         raise ValueError("base must be filiform")
-    xi = z.basis()[0]
+    xi = x.base.central_series[-2].rows[0]
     c = x.cocycle.coeffs
     for a_idx in range(1, x.base.dim + 1):
         val = as_scalar(0)

@@ -201,7 +201,7 @@ class LieAlgebra:
         a chain of length n-2.  For n >= 4 at most two lines of g / C^2 lack
         one: L^2 (its adjoint map sends C^2 into C^4) and the centralizer of
         C^{n-2} (it kills e_{n-1}).  Two basis vectors u, v that are not
-        proportional mod C^2 give the four lines of u, v, u+v and u-v, so the
+        proportional mod C^2 give the three lines of u, v and u+v, so the
         pair sums reach a full chain.  e_2 is the first basis vector of L^2
         outside C^2 with [e_1, e_2] outside C^3, and e_{i+1} = [e_1, e_i].
 
@@ -396,20 +396,6 @@ def is_filiform(a: LieAlgebra) -> bool:
     return series[-1].dim == 0 and len(series) == a.dim
 
 
-def center(a: LieAlgebra) -> Subspace:
-    return centralizer(a, Subspace.span([{i: as_scalar(1)} for i in range(1, a.dim + 1)]))
-
-
-def centralizer(a: LieAlgebra, s: Subspace) -> Subspace:
-    """{x in g : [x, s] = 0}: the kernel of x -> ([x, v] for v in s.basis()),
-    its images keyed by (basis index, output index)."""
-    basis = s.basis()
-    images = [{(t, k): c for t, v in enumerate(basis)
-               for k, c in a.bracket_vec({i: as_scalar(1)}, v).items()}
-              for i in range(1, a.dim + 1)]
-    return Subspace.span(kernel_of_map(list(range(1, a.dim + 1)), images))
-
-
 # ---------------------------------------------------------------------------
 # base change
 # ---------------------------------------------------------------------------
@@ -503,13 +489,12 @@ def _alpha_of(a: LieAlgebra):
 
 
 def _e1_candidates(a: LieAlgebra, c2: Subspace):
-    """Deterministic sweep: basis vectors outside C^2, then +-pairwise sums."""
+    """Deterministic sweep: basis vectors outside C^2, then pairwise sums."""
     singles = [i for i in range(1, a.dim + 1) if not c2.contains({i: as_scalar(1)})]
     for i in singles:
         yield {i: as_scalar(1)}
     for i, j in itertools.combinations(singles, 2):
         yield {i: as_scalar(1), j: as_scalar(1)}
-        yield {i: as_scalar(1), j: as_scalar(-1)}
 
 
 def adapted_basis(a: LieAlgebra) -> AdaptedBasis:

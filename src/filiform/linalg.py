@@ -5,7 +5,7 @@ Vectors are sparse dicts ``{column: scalar}``; matrices store a sparse
 elimination, with reduced row echelon form as the canonical shape so that
 kernel bases, cohomology representatives and spectral-sequence blocks are
 deterministic.  Every kernel of a linear map given by the images of a basis
-(the cocycles, the Z_r spaces, centralizers) is ``kernel_of_map``, which
+(the cocycles, the Z_r spaces, the filtration L^2) is ``kernel_of_map``, which
 eliminates along the shorter side of the map.  With at most as many
 distinct outputs as sources it reduces the transposed map, one row per
 output, and reads the kernel off the RREF.  With more outputs, as for the

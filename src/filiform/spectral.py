@@ -72,8 +72,9 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import count
 from .cochain import (Form, d_monomial, differential, monomials_by_weight,
-                      nondegenerate_point)
+                      witness_point)
 from .lie import LieAlgebra, adapted_basis
 from .linalg import (Matrix, Subspace, all_rational, clear_integer, integer_row,
                      kernel_of_map, pfaffian, vec_axpy_into, vec_combination)
@@ -402,9 +403,10 @@ def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
     +-prod c_i, so a space of them holds a symplectic one iff it vanishes
     on no corner monomial: ``graded_symplectic`` tests the E_1 classes,
     ``survives`` the leading parts of the closed forms of weight <= 2k+1,
-    and ``cochain.nondegenerate_point`` only picks the lift's point.  On
-    failure the first nonzero differential out of the corner is the
-    obstruction witness (``_corner_obstruction``), built on first read.
+    and the lift's point is the first witness point, or else the first
+    moment-curve point, that passes the test.  On failure the first nonzero
+    differential out of the corner is the obstruction witness
+    (``_corner_obstruction``), built on first read.
 
     The one survival entry: ``structures.symplectic_exists`` reads
     ``graded_symplectic`` (the gr_L link), then ``survives``; the
@@ -431,9 +433,11 @@ def symplectic_survival(a: LieAlgebra) -> SurvivalVerdict:
         lifts = [v for v in comp.z_vectors(10 * n, top, 2) if leading(v)]
         heads = [leading(v) for v in lifts]
         if symplectic(heads):
-            point = nondegenerate_point(n, heads)
-            if point is None:
-                raise AssertionError("symplectic corner pencil without a point")
+            # else the moment curve: each of the k corner coefficients is a
+            # nonzero polynomial of degree < m in x, so an x <= k(m-1)+2 passes
+            point = witness_point(n, heads) or next(
+                t for t in ([x ** j for j in range(len(heads))] for x in count(2))
+                if symplectic([vec_combination(t, heads)]))
             lift = Form(2, vec_combination(point, lifts))
             if differential(b, lift) or not pfaffian(n, lift.coeffs):
                 raise AssertionError("survival lift failed to verify")

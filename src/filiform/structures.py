@@ -21,7 +21,8 @@ Existence questions run through two routes:
 * the generic route asks whether some member of a linear pencil of 2-forms
   is nondegenerate (``cochain.nondegenerate_point``).  Symplectic forms are
   searched in the pencil of closed 2-forms, contact forms in the bordered
-  pencil d e^i + e^i ^ e^{n+1}.
+  pencil d e^i + e^i ^ e^{n+1}.  Contact on filiform input stops at the
+  witness points (``cochain.witness_point``) and one bordered Pfaffian.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import factorial
 
 from . import catalog
 from .cochain import (Form, d_monomial, differential, lambda_basis,
-                      nondegenerate_point)
+                      nondegenerate_point, witness_point)
 from .extensions import ExtensionCocycle, central_extension
 from .lie import LieAlgebra, adapted_basis, is_filiform
 from .linalg import SpanSolver, kernel_of_map, pfaffian, vec_combination
@@ -223,14 +224,24 @@ def contact_exists(a: LieAlgebra) -> ContactCertificate | None:
     beta = sum t_i e^i is contact iff the bordered 2-form
     sum t_i (d e^i + e^i ^ e^{n+1}) is nondegenerate, so this is the pencil
     search one dimension up; None certifies that no contact form exists
-    over any field extension.
+    over any field extension.  On a filiform algebra that misses the
+    witness points one bordered Pfaffian decides: with z spanning the
+    centre, beta ^ (d beta)^k = beta(z)^{k+1} c for one constant c (in an
+    adapted basis d e^i weighs at most i, so only e^n and the leading part
+    of d e^n reach the top weight), so e^r with z_r != 0 decides.
     """
     if a.dim % 2 == 0:
         raise EvenDimension("contact structures need odd dimension")
     n = a.dim
     pencil = [{**d_monomial(a, (i,)), (i, n + 1): 1}
               for i in range(1, n + 1)]
-    point = nondegenerate_point(n + 1, pencil)
+    point = witness_point(n + 1, pencil)
+    if point is None and is_filiform(a):
+        r = a.central_series[-2].pivots[0]  # the first r with z_r != 0
+        cert = contact_check(a, Form.monomial((r,)))
+        return cert if cert.valid else None
+    if point is None:
+        point = nondegenerate_point(n + 1, pencil)
     if point is None:
         return None
     cert = contact_check(a, Form(1, {(i + 1,): point[i] for i in range(n)}))

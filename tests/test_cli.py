@@ -300,6 +300,7 @@ def test_catalog_guard_is_input_error(capsys):
     (["--name", "abelian", "--dim", "0"], "abelian(n) needs n >= 1"),
     (["--name", "abelian", "--dim", "-3"], "abelian(n) needs n >= 1"),
     (["--name", "deformation_21", "--dim", "6"], "deformation_21 needs n >= 7"),
+    (["--name", "V", "--dim", "8", "--t", "2"], "V takes no --t"),
 ])
 def test_bad_catalog_parameter_is_input_error(capsys, argv, reason):
     code = main(["catalog", *argv])
@@ -321,6 +322,12 @@ def test_catalog_reads_parameters_by_the_document_rule(capsys):
     from fractions import Fraction
     alphas = (1, Fraction(2, 3), Fraction(-1, 2))
     assert doc == catalog.build("deformation_23", alphas=alphas).to_dict()
+
+
+def test_catalog_t_builds_the_library_algebra(capsys):
+    assert main(["catalog", "--name", "abelian_commutant", "--dim", "8", "--t", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == catalog.build("abelian_commutant", n=8, t=2).to_dict()
 
 
 def test_catalog_accepts_the_dimension_bound(capsys):
@@ -665,11 +672,12 @@ def test_adapted_shape_defect_is_invariant_violation(tmp_path, capsys, monkeypat
 
 
 H5_R = {"dim": 6, "brackets": [[1, 2, [[5, "1"]]], [3, 4, [[5, "1"]]]]}
+H3_R_R = {"dim": 5, "brackets": [[1, 2, [[3, "1"]]]]}
 
 
 @pytest.mark.parametrize("command, doc", [
     ("symplectic", H5_R),
-    ("contact", catalog.build("m0", n=7).to_dict()),
+    ("contact", H3_R_R),
 ])
 def test_search_bound_decides_or_exits_with_input_error(tmp_path, capsys, monkeypatch,
                                                         command, doc):
@@ -689,7 +697,7 @@ def test_search_bound_decides_or_exits_with_input_error(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("command, doc", [
     ("symplectic", H5_R),
-    ("contact", catalog.build("m0", n=7).to_dict()),
+    ("contact", H3_R_R),
 ])
 @pytest.mark.parametrize("value", ["abc", "", "-5", "0", "2.5"])
 def test_search_bound_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
@@ -702,6 +710,35 @@ def test_search_bound_must_be_a_positive_integer(tmp_path, capsys, monkeypatch,
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: FILIFORM_MAX_GRID must be an integer >= 1")
     assert "Traceback" not in captured.err
+
+
+def _dense_m0(n):
+    return random_base_change(catalog.build("m0", n=n), random.Random(n), 0.6)
+
+
+def test_filiform_contact_needs_no_search_bound(tmp_path, capsys, monkeypatch):
+    # on filiform input one bordered Pfaffian decides contact, so the
+    # smallest term bound does not stop it
+    monkeypatch.setenv("FILIFORM_MAX_GRID", "1")
+    for a in (catalog.build("m0", n=7), _dense_m0(11)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(a.to_dict()))
+        code, out = run(capsys, "contact", str(path))
+        assert code == 0 and out["result"]["exists"] is False
+
+
+@pytest.mark.parametrize("n", [11, 13])
+def test_dense_filiform_contact_is_prompt(tmp_path, n):
+    # the bordered pencil search took 13 s at n = 11 and 28 s at n = 13
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_dense_m0(n).to_dict()))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "filiform.cli", "contact", str(path)],
+                          capture_output=True, text=True, timeout=30, env=_cli_env())
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["exists"] is False
+    assert elapsed < 3
 
 
 def _parse_outcome(parse, argv, capsys):

@@ -1,12 +1,13 @@
 """Central extensions, graded isomorphism, and the inductive classification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from filiform import catalog
-from filiform.cochain import Form, cohomology, d_matrix, lambda_basis
-from filiform.extensions import (CenterNotOneDimensional, ExtensionCocycle,
+from filiform.cochain import Form, cohomology, d_matrix, differential, lambda_basis
+from filiform.extensions import (ExtensionCocycle,
                                  NotGradedFiliform, _family_top, _filiform_split,
                                  _top_weight_reps, central_extension,
                                  chain_constants, classify_graded,
@@ -15,8 +16,10 @@ from filiform.extensions import (CenterNotOneDimensional, ExtensionCocycle,
                                  is_filiform_extension)
 from filiform.lie import (LieAlgebra, abelian, change_basis, is_filiform,
                           jacobi_check, grading_violations)
-from filiform.linalg import rank_drop_candidates
+from filiform.linalg import rank_drop_candidates, vec_combination
 from filiform.scalars import RatFunc
+from filiform.structures import closed_two_form_basis
+from test_lie import catalog_label, random_base_change
 
 F = Form.from_pairs
 
@@ -80,8 +83,34 @@ def test_omega_cocycle_is_filiform_extension():
     assert is_filiform_extension(x)
 
 
+@pytest.mark.parametrize("name, params", [
+    pytest.param(name, params, id=catalog_label(name, params)) for name, params in (
+        ("m0", {"n": 4}), ("m0", {"n": 6}), ("m2", {"n": 7}), ("V", {"n": 6}),
+        ("g8", {"alpha": 3}), ("g7", {"alpha": 1}))])
+def test_filiform_extension_criterion_agrees_with_is_filiform(name, params):
+    # in a dense basis the centre's spanning vector has entries below and
+    # above each index, so both orders of a cocycle entry are read; half the
+    # draws are coboundaries d beta, which vanish on the centre z
+    # (d beta(x, z) = -beta([x, z]) = 0)
+    rng = random.Random(f"{name}{params}")
+    a = catalog.build(name, **params)
+    for base in (a, random_base_change(a, rng, 0.6)):
+        closed = [f.coeffs for f in closed_two_form_basis(base)]
+        exact = [differential(base, Form.monomial((i,))).coeffs
+                 for i in range(1, base.dim + 1)]
+        seen = set()
+        for draw in range(12):
+            forms = exact if draw % 2 else closed
+            coeffs = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in forms]
+            x = ExtensionCocycle(base, Form(2, vec_combination(coeffs, forms)))
+            verdict = is_filiform_extension(x)
+            assert verdict == is_filiform(central_extension(x))
+            seen.add(verdict)
+        assert seen == {True, False}
+
+
 def test_center_not_one_dimensional():
-    with pytest.raises(CenterNotOneDimensional):
+    with pytest.raises(ValueError, match="filiform"):
         is_filiform_extension(ExtensionCocycle(abelian(4), Form.zero(2)))
     # zero cocycle on a filiform base: well-posed, just not a filiform extension
     assert not is_filiform_extension(ExtensionCocycle(catalog.build("m0", n=3), Form.zero(2)))

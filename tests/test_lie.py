@@ -8,7 +8,7 @@ import pytest
 
 from filiform import catalog
 from filiform.lie import (AlphaNonzero, LieAlgebra, NotFiliform, _adapted_defects,
-                          abelian, adapted_basis, center, central_series,
+                          abelian, adapted_basis, central_series,
                           change_basis, gr_c, gr_l, grading_violations,
                           is_filiform, jacobi_check, m0_certificate)
 from filiform.linalg import Subspace
@@ -286,9 +286,12 @@ def test_algebra_is_freed_without_the_cycle_collector(build):
 
 
 def test_center_of_filiform_is_last_line():
+    # the centre of a filiform algebra is the last nonzero central-series
+    # term, a line that every basis vector brackets to zero
     a = catalog.build("m2", n=7)
-    z = center(a)
+    z = a.central_series[-2]
     assert z.dim == 1 and z.contains({7: Fraction(1)})
+    assert all(not a.bracket_vec({i: 1}, z.rows[0]) for i in range(1, 8))
 
 
 # -- adapted basis -------------------------------------------------------------
@@ -549,6 +552,13 @@ def test_json_round_trip():
     doc = json.loads(json.dumps(a.to_dict()))
     b = LieAlgebra.from_dict(doc)
     assert b.brackets == a.brackets and b.weights == a.weights
+
+
+def test_a_reversed_bracket_entry_is_stored_negated():
+    # [e2, e1] = e3 is [e1, e2] = -e3
+    a = LieAlgebra.from_dict({"dim": 3, "brackets": [[2, 1, [[3, "1"]]]]})
+    assert a.brackets == {(1, 2): {3: -1}}
+    assert a.bracket(2, 1) == {3: 1}
 
 
 def test_from_dict_rejects_non_jacobi():

@@ -1,5 +1,6 @@
 """Symplectic and contact structure detection and construction."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filiform import catalog, spectral
-from filiform.cochain import Form, differential
+from filiform import catalog, cochain, spectral
+from filiform.cochain import Form, d_monomial, differential
 from filiform.extensions import graded_isomorphic
 from filiform.lie import abelian
 from filiform.linalg import pfaffian, vec_combination
@@ -17,7 +18,7 @@ from filiform.structures import (EvenDimension,
                                  contact_exists, contactize, is_symplectic_form,
                                  symplectic_catalog_check, symplectic_exists,
                                  wedge_power)
-from test_lie import computations
+from test_lie import catalog_label, computations, random_base_change
 
 F = Form.from_pairs
 
@@ -428,6 +429,68 @@ def test_contact_exists_on_odd_families():
     assert contact_exists(catalog.build("g7", alpha=Fraction(1, 2))).valid
     assert contact_exists(catalog.build("g9", alpha=3)).valid
     assert contact_exists(catalog.build("g11", alpha=0)).valid
+
+
+ODD_FILIFORM = (
+    [(name, {"n": n}) for name in ("m0", "m2", "V", "m01") for n in (5, 7, 9)]
+    + [("m03", {"n": 9})]
+    + [(name, {"alpha": alpha}) for name in ("g7", "g9") for alpha in (0, 1, 2, -1)])
+
+
+def _bordered_pencil_point(a):
+    """The pencil search of the bordered 2-forms d e^i + e^i ^ e^{n+1}."""
+    n = a.dim
+    return cochain.nondegenerate_point(
+        n + 1, [{**d_monomial(a, (i,)), (i, n + 1): 1} for i in range(1, n + 1)])
+
+
+def _pencil_search_unreachable(*args):
+    raise AssertionError("a filiform contact verdict ran the pencil search")
+
+
+@pytest.mark.parametrize("name, params", ODD_FILIFORM,
+                         ids=[catalog_label(*case) for case in ODD_FILIFORM])
+def test_filiform_contact_route_agrees_with_the_pencil_search(monkeypatch, name,
+                                                              params):
+    # the pencil search is the oracle; dense bases stop at n = 7, where it
+    # still decides in about a second
+    monkeypatch.setattr("filiform.structures.nondegenerate_point",
+                        _pencil_search_unreachable)
+    a = catalog.build(name, **params)
+    rng = random.Random(f"{name}{params}")
+    for b in (a, random_base_change(a, rng, 0.6)) if a.dim <= 7 else (a,):
+        point = _bordered_pencil_point(b)
+        cert = contact_exists(b)
+        assert (cert is not None) == (point is not None)
+        if cert is not None:
+            # a witness point decides every positive, so the form is the
+            # pencil search's
+            assert cert.form.coeffs == {(i + 1,): t for i, t in enumerate(point)}
+            assert contact_check(b, cert.form).valid
+        with monkeypatch.context() as m:
+            # past the witness points a positive prints e^r, z_r != 0
+            m.setattr("filiform.cochain._witness_points", lambda m: iter(()))
+            cert = contact_exists(b)
+            assert (cert is not None) == (point is not None)
+            r = b.central_series[-2].pivots[0]
+            assert b.central_series[-2].rows[0].get(r)
+            assert cert is None or cert.form == Form.monomial((r,)) and cert.valid
+
+
+SURVIVING = [("m0", {"n": 8}), ("m0", {"n": 16}), ("V", {"n": 10}), ("g8", {"alpha": 3}),
+             ("g10", {"alpha": 2}), ("deformation_21", {"n": 8, "alphas": (1,)})]
+
+
+@pytest.mark.parametrize("name, params", SURVIVING,
+                         ids=[catalog_label(*case) for case in SURVIVING])
+def test_survival_lift_past_the_witness_points(monkeypatch, name, params):
+    # with every witness point missing, the lift's point comes from the
+    # moment curve and is checked on the antidiagonal; nothing is expanded
+    monkeypatch.setattr("filiform.cochain._witness_points", lambda m: iter(()))
+    monkeypatch.setattr("filiform.cochain._max_grid", _expansion_unreachable)
+    a = catalog.build(name, **params)
+    cert = symplectic_exists(a)
+    assert cert.exists and is_symplectic_form(a, cert.form)
 
 
 # -- catalog sweep -----------------------------------------------------------------------
